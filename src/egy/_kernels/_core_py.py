@@ -2,7 +2,9 @@
 
 The compiled twin (``_core_cy``) implements the same three functions with
 identical semantics; ``egy._kernels`` picks whichever is importable.  Keep
-the two in lock step -- ``tests/test_kernels.py`` diffs them.
+the two in lock step -- ``tests/test_kernels.py`` diffs them, and diffs the
+max-below scan against the plain linear scan kept in
+``tests/oracle_max_below.py``.
 
 All arithmetic is on plain Python ints; fractions are carried as unreduced
 (num, den) pairs and compared by cross multiplication.
@@ -10,7 +12,24 @@ All arithmetic is on plain Python ints; fractions are carried as unreduced
 
 from __future__ import annotations
 
+from math import isqrt
+
 BACKEND = "python"
+
+
+def _last_pair_above(n, d, allow_equal):
+    """Largest a >= 0 with 1/a + 1/(a+1) > n/d (>= when allow_equal); n, d > 0.
+
+    1/a + 1/(a+1) >= n/d is f(a) = (2a+1)d - n a(a+1) >= 0.  f is concave
+    with f(0) = d > 0, so that holds exactly for 0 <= a <= r, the positive
+    root ((2d - n) + sqrt(4d^2 + n^2)) / (2n).  floor(r) is exact through
+    the integer square root, since floor(y / k) = floor(floor(y) / k) for
+    an integer k > 0.  f is zero there only when r is an integer.
+    """
+    a = (2 * d - n + isqrt(4 * d * d + n * n)) // (2 * n)
+    if not allow_equal and (2 * a + 1) * d == n * a * (a + 1):
+        a -= 1
+    return a
 
 
 def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
@@ -19,15 +38,24 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
 
     Only candidates beating the threshold thr_n/thr_d are tracked (ties too,
     when allow_equal is set; the lowest-a tie is kept).  Returns
-    (found, num, den, a, b, iterations); num/den is unreduced.
+    (found, num, den, a, b, iterations); num/den is unreduced.  Needs
+    xd > 0, thr_d > 0 and thr_n >= 0.
 
     For fixed a the best partner is the smallest b with 1/a + 1/b < x, so
-    the loop is linear in a; it stops once even 1/a + 1/(a+1) cannot beat
-    the running best.
+    the scan is linear in a; it stops at the first a where even
+    1/a + 1/(a+1) cannot beat the running best, and that a counts as an
+    iteration.  The stopping a is found once per incumbent with an integer
+    square root, and each scanned a costs one floor division and one
+    multiplication: xn a - xd, xd a and the two sides of the comparison
+    with the incumbent are running sums.
 
     When the scan would pass max_iters iterations it aborts and reports
     iterations = max_iters + 1 with found=False; the caller's budget
     accounting turns that into a resource error, never a wrong answer.
+    Below a threshold under x every candidate is under x too, so the scan
+    cannot stop before the last a with 1/a + 1/(a+1) >= x; a scan that
+    provably runs past max_iters therefore aborts before its first
+    iteration, with the same result.
     """
     if xn <= 0:
         return (False, 0, 0, 0, 0, 0)
@@ -36,30 +64,61 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
         a = a_min
     if a < 2:
         a = 2
-    best_n, best_d = thr_n, thr_d
+    a0 = a
+    # past split, b = a + 1 is forced and 1/a + 1/(a+1) < x
+    split = 2 * xd // xn
+    if max_iters is None:
+        a_abort = None
+    else:
+        a_abort = a0 + max(max_iters, 0)  # the a whose iteration is one too many
+        aborted = (False, 0, 0, 0, 0, a_abort - a0 + 1)
+        if (a_abort <= split + 1 and thr_n * xd < xn * thr_d
+                and _last_pair_above(xn, xd, True) + 1 >= a_abort):
+            return aborted
+    bn, bd = thr_n, thr_d
     found = False
     res_a = res_b = 0
-    iters = 0
+    slack = 0 if allow_equal else 1  # the least margin that wins; ties count
+    # a zero threshold is beaten by the first candidate, so it needs no bound
+    last = _last_pair_above(bn, bd, allow_equal) if bn > 0 else a
     while True:
-        iters += 1
-        if max_iters is not None and iters > max_iters:
-            return (False, 0, 0, 0, 0, iters)
-        # upper bound for this a is 1/a + 1/(a+1) = (2a+1)/(a(a+1))
-        ub_cmp = (2 * a + 1) * best_d - best_n * a * (a + 1)
-        if ub_cmp < 0 or (ub_cmp == 0 and (found or not allow_equal)):
+        end = last + 1
+        if a_abort is not None and a_abort < end:
+            end = a_abort
+        if a >= end:
             break
+        # At a, b = q + 1 with q = xda // num, and 1/a + 1/b - bn/bd has the
+        # sign of (a+b) bd - bn a b = v - b u, with u = bn a - bd and v = bd a.
+        # So the candidate wins iff q u <= w = v - u - slack.
         num = xn * a - xd  # > 0; equals a*xd*(x - 1/a)
-        b = (xd * a) // num + 1
-        if b <= a:
+        xda = xd * a
+        u = bn * a - bd
+        w = bd * a - u - slack
+        step = bd - bn
+        stop = min(end, split + 1)
+        for a in range(a, stop):
+            if xda // num * u <= w:
+                b = xda // num + 1
+                break
+            num += xn
+            xda += xd
+            u += bn
+            w += step
+        else:
+            a = max(a, stop)  # a itself when the range was empty
+            if a == end:
+                break
+            # past split the candidate is 1/a + 1/(a+1), which wins at a <= last
             b = a + 1
-        cn, cd = a + b, a * b
-        cmp_best = cn * best_d - best_n * cd
-        if cmp_best > 0 or (cmp_best == 0 and allow_equal and not found):
-            best_n, best_d = cn, cd
-            res_a, res_b = a, b
-            found = True
+        bn, bd = a + b, a * b
+        res_a, res_b = a, b
+        found = True
+        slack = 1
+        last = _last_pair_above(bn, bd, False)
         a += 1
-    return (found, best_n, best_d, res_a, res_b, iters)
+    if a == a_abort:
+        return aborted
+    return (found, bn, bd, res_a, res_b, a - a0 + 1)
 
 
 def two_term_min_competitors(i):

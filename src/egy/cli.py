@@ -17,23 +17,38 @@ from .rational import format_rational, parse_rational
 from .search import ResourceLimitError, best_underapprox
 
 
+def _add_global_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> None:
+    """The global flags; every subcommand accepts them too, after its name.
+
+    A subcommand's copies default to SUPPRESS, so a flag given only before
+    the subcommand is not reset by the subcommand's parser.
+    """
+
+    def default(value):
+        return value if with_defaults else argparse.SUPPRESS
+
+    parser.add_argument("--json", action="store_true", default=default(False),
+                        help="JSON output (default)")
+    parser.add_argument("--csv", action="store_true", default=default(False),
+                        help="CSV output where supported")
+    parser.add_argument(
+        "--node-budget", type=int, metavar="N", default=default(None),
+        help="solver node budget (default 10^7; env EGY_NODE_BUDGET)",
+    )
+    parser.add_argument(
+        "--threads", type=int, default=default(1), metavar="T",
+        help="accepted for interface compatibility; the reference "
+        "implementation is single-threaded and output never depends on T",
+    )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="egy",
         description="Exact Egyptian-fraction underapproximations, partitions, "
         "and measure certificates.  Rationals are written p/q (or p).",
     )
-    parser.add_argument("--json", action="store_true", help="JSON output (default)")
-    parser.add_argument("--csv", action="store_true", help="CSV output where supported")
-    parser.add_argument(
-        "--node-budget", type=int, metavar="N",
-        help="solver node budget (default 10^7; env EGY_NODE_BUDGET)",
-    )
-    parser.add_argument(
-        "--threads", type=int, default=1, metavar="T",
-        help="accepted for interface compatibility; the reference "
-        "implementation is single-threaded and output never depends on T",
-    )
+    _add_global_flags(parser, with_defaults=True)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("greedy", help="greedy n-term underapproximation")
@@ -84,6 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bits", type=int, default=32)
 
+    for subparser in sub.choices.values():
+        _add_global_flags(subparser, with_defaults=False)
     return parser
 
 
@@ -161,8 +178,9 @@ def _run(args: argparse.Namespace) -> tuple[str, str]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # exact certificates carry rationals far beyond the default 4300-digit
-    # int-to-str guard; lifting it is safe (output only, no untrusted parse)
+    # format_rational does not need it, but error messages and parsed
+    # arguments can carry ints beyond the default 4300-digit int-to-str
+    # guard; lifting it is safe for a tool that parses only its arguments
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     parser = _build_parser()

@@ -139,7 +139,12 @@ def nongreedy_two_term_measure(i: int) -> Fraction:
     """
     if i < 2:
         raise ValueError(f"nongreedy_two_term_measure() needs i >= 2, got {i}")
-    competitors = _kernels.two_term_min_competitors(i)
+    return _measure_above_competitors(i, _kernels.two_term_min_competitors(i))
+
+
+def _measure_above_competitors(i: int, competitors: list[tuple[int, int, int]]) -> Fraction:
+    """Measure of the parts of the greedy cells above their minimal
+    competitors, as listed by ``two_term_min_competitors(i)``."""
     inv_i = Fraction(1, i)
     parts = []
     for j, s_num, s_den in competitors:
@@ -152,7 +157,7 @@ def nongreedy_two_term_measure(i: int) -> Fraction:
 
 def _exact_certificate(i: int) -> tuple[Fraction, int]:
     competitors = _kernels.two_term_min_competitors(i)
-    return nongreedy_two_term_measure(i), len(competitors)
+    return _measure_above_competitors(i, competitors), len(competitors)
 
 
 def lemma1_certificate(i: int, mode: str = "paper") -> Lemma1Report:

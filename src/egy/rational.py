@@ -11,6 +11,7 @@ denominators.
 
 from __future__ import annotations
 
+import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -38,11 +39,56 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(text))
 
 
+# str() of an int is quadratic in its length, and Python refuses it beyond
+# sys.get_int_max_str_digits() (4300 by default).  Below about 4000 digits
+# str() is used as is; longer ints go through decimal, whose multiplication
+# is subquadratic, without touching that global limit.
+_STR_BITS = 13_000  # 2^13000 has 3914 digits
+_DEC_BITS = 128     # leaves of the decimal conversion
+
+
+def _int_to_str(n: int) -> str:
+    """Decimal digits of n, also past the interpreter's int-to-str limit."""
+    bits = abs(n).bit_length()
+    if bits <= _STR_BITS:
+        return str(n)
+    powers: dict[int, decimal.Decimal] = {}
+
+    def pow2(w: int) -> decimal.Decimal:
+        if w not in powers:
+            if w <= _DEC_BITS:
+                powers[w] = decimal.Decimal(1 << w)
+            else:
+                half = w >> 1
+                powers[w] = pow2(half) * pow2(w - half)
+        return powers[w]
+
+    def convert(m: int, w: int) -> decimal.Decimal:
+        # m < 2^w: split off the low half of the bits, convert both halves
+        # and join them as hi * 2^half + lo in exact decimal arithmetic
+        if w <= _DEC_BITS:
+            return decimal.Decimal(m)
+        half = w >> 1
+        hi = m >> half
+        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        digits = str(convert(abs(n), bits))
+    return "-" + digits if n < 0 else digits
+
+
 def format_rational(value: Fraction) -> str:
-    """Serialize reduced with positive denominator; integers print as "p"."""
+    """Serialize reduced with positive denominator; integers print as "p".
+
+    Works for rationals of millions of digits, whatever the interpreter's
+    int-to-str digit limit, and leaves that limit alone.
+    """
     if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+        return _int_to_str(value.numerator)
+    return f"{_int_to_str(value.numerator)}/{_int_to_str(value.denominator)}"
 
 
 def harmonic(n: int) -> Fraction:

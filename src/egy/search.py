@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from math import gcd
 
 from . import _kernels
 from .greedy import DEFAULT_MAX_TERMS, greedy_underapprox
@@ -120,51 +121,72 @@ def best_underapprox(
     g = greedy_underapprox(x, n, max_terms)
     inc_rep = list(g.denominators)
     inc_val = rep_value(g)
+    # The incumbent vn/vd (reduced), x = xn/xd and every partial sum are
+    # integer pairs compared by cross multiplication: this loop runs once
+    # per node, and Fraction arithmetic would cost more than the node.
+    vn, vd = inc_val.numerator, inc_val.denominator
+    xn, xd = x.numerator, x.denominator
 
-    def visit(p: Fraction, k: int, m_last: int, prefix: list[int]) -> None:
-        nonlocal inc_val, inc_rep
+    def visit(pn: int, pd: int, k: int, m_last: int, prefix: list[int]) -> None:
+        # the prefix sums to p = pn/pd, unreduced
+        nonlocal vn, vd, inc_rep
         budget.spend()
         r = n - k
-        if inc_val <= p:
+        if vn * pd <= pn * vd:
+            p = Fraction(pn, pd)
             comp = _greedy_completion(x, p, m_last, r)
             inc_rep = prefix + comp
-            inc_val = p + sum_exact(Fraction(1, m) for m in comp)
+            val = p + sum_exact(Fraction(1, m) for m in comp)
+            vn, vd = val.numerator, val.denominator
+        gap_n, gap_d = xn * pd - pn * xd, xd * pd  # x - p > 0, unreduced
         if r == 2:
-            rem = x - p
-            thr = inc_val - p
+            # the kernel sees the same reduced rem = x - p and thr = inc - p
+            # as Fraction arithmetic would give it
+            g_gap = gcd(gap_n, gap_d)
+            thr_n, thr_d = vn * pd - pn * vd, vd * pd
+            g_thr = gcd(thr_n, thr_d)
             allow_equal = prefix <= inc_rep[:k]
             found, bn, bd, a, b, iters = _kernels.two_term_max_below(
-                rem.numerator, rem.denominator, m_last + 1,
-                thr.numerator, thr.denominator, allow_equal,
+                gap_n // g_gap, gap_d // g_gap, m_last + 1,
+                thr_n // g_thr, thr_d // g_thr, allow_equal,
                 budget.left,  # abort mid-scan once the budget is gone
             )
             budget.spend(iters)
             if found:
-                cand = p + Fraction(bn, bd)
-                if cand > inc_val:
-                    inc_val = cand
+                cn, cd = pn * bd + bn * pd, pd * bd  # p + bn/bd
+                cmp = cn * vd - vn * cd
+                if cmp > 0:
+                    g_cand = gcd(cn, cd)
+                    vn, vd = cn // g_cand, cd // g_cand
                     inc_rep = prefix + [a, b]
-                elif cand == inc_val:
+                elif cmp == 0:
                     new_rep = prefix + [a, b]
                     if new_rep < inc_rep:
                         inc_rep = new_rep
             return
-        m = max(m_last + 1, _floor_recip(x - p) + 1)
-        # densest possible completion from m uses consecutive denominators
-        run = sum_exact(Fraction(1, m + t) for t in range(r))
+        m = max(m_last + 1, gap_d // gap_n + 1)
+        # densest possible completion from m uses consecutive denominators:
+        # run = 1/m + ... + 1/(m+r-1) = rn/rd with rd = m(m+1)...(m+r-1)
+        rd = 1
+        for t in range(r):
+            rd *= m + t
+        rn = sum(rd // (m + t) for t in range(r))
         while True:
-            reach = p + run
-            if reach < inc_val:
+            reach = (pn * rd + rn * pd) * vd - vn * pd * rd  # sign of p + run - inc
+            if reach < 0:
                 break
-            if reach == inc_val and prefix + [m] > inc_rep[: k + 1]:
+            if reach == 0 and prefix + [m] > inc_rep[: k + 1]:
                 break
-            visit(p + Fraction(1, m), k + 1, m, prefix + [m])
-            run += Fraction(1, m + r) - Fraction(1, m)
+            visit(pn * m + pd, pd * m, k + 1, m, prefix + [m])
+            # drop 1/m and add 1/(m+r): 1/m = q/rd, and rn - q is rd times
+            # the other terms, each of which leaves a factor m in it
+            q = rd // m
+            rn, rd = (rn - q) // m * (m + r) + q, q * (m + r)
             m += 1
             budget.spend()
 
-    visit(ZERO, 0, 0, [])
-    return inc_val, EgyptianRep(tuple(inc_rep))
+    visit(0, 1, 0, 0, [])
+    return Fraction(vn, vd), EgyptianRep(tuple(inc_rep))
 
 
 def has_representation(

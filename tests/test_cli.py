@@ -1,8 +1,10 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
-from egy.cli import main
+from egy.cli import _build_parser, main
 
 
 def run(capsys, *argv):
@@ -113,3 +115,54 @@ def test_json_csv_mutually_exclusive(capsys):
     with pytest.raises(SystemExit) as info:
         main(["--json", "--csv", "best", "1/2", "1"])
     assert info.value.code == 2
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# README examples that take minutes: an exact sum at i = 1000, 1000 samples
+SLOW_COMMANDS = ("nongreedy", "sample")
+
+
+def _readme_examples():
+    """(argv, expected JSON or "") for every line of the README's CLI block."""
+    block = README.read_text().split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+    examples = []
+    for line in block.splitlines():
+        command, _, comment = line.partition("#")
+        argv = shlex.split(command)
+        if argv:
+            assert argv[0] == "egy"
+            examples.append((argv[1:], comment.strip()))
+    return examples
+
+
+def test_readme_examples(capsys):
+    examples = _readme_examples()
+    assert len(examples) == 10
+    parser = _build_parser()
+    for argv, expected in examples:
+        args = parser.parse_args(argv)  # exits 2 on an unrecognized flag
+        if args.command in SLOW_COMMANDS:
+            continue
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
+        if expected:
+            assert json.loads(out) == json.loads(expected)
+        if args.csv:
+            assert out.startswith("level,lower,upper,length,best_rep\n")
+
+
+def test_global_flags_on_either_side(capsys):
+    window = ["cells", "1/3", "1/2", "2", "--max-cells", "3"]
+    before = run(capsys, "--csv", *window)
+    after = run(capsys, *window, "--csv")
+    assert before == after and before[0] == 0 and before[1].startswith("level,")
+    assert run(capsys, "--threads", "2", *window) == run(capsys, *window, "--threads", "2")
+    # a flag given only before the subcommand is not reset by the subcommand
+    assert run(capsys, "--node-budget", "5", "best", "11/24", "3")[0] == 3
+    assert run(capsys, "best", "11/24", "3", "--node-budget", "5")[0] == 3
+    for flags in (["--json", *window, "--csv"], [*window, "--json", "--csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(flags)
+        assert exc.value.code == 2
+    with pytest.raises(SystemExit):
+        main([*window, "--threads", "0"])

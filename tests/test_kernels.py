@@ -4,17 +4,36 @@ from fractions import Fraction
 import pytest
 
 from egy._kernels import _core_py
+from oracle_max_below import linear_two_term_max_below
 
-_core_cy = pytest.importorskip(
-    "egy._kernels._core_cy", reason="compiled kernels not built"
-)
+try:
+    from egy._kernels import _core_cy
+except ImportError:
+    _core_cy = None
+
+# only the tests that diff the two backends need the compiled one
+needs_cy = pytest.mark.skipif(_core_cy is None, reason="compiled kernels not built")
 
 
+def _same_as_oracle(*args):
+    got = _core_py.two_term_max_below(*args)
+    assert got == linear_two_term_max_below(*args), args
+    return got
+
+
+def _caps(args):
+    """max_iters values around the scan's own length (its uncapped iterations)."""
+    length = linear_two_term_max_below(*args[:6], None)[5]
+    return {None, 0, 1, length - 2, length - 1, length, length + 1}
+
+
+@needs_cy
 def test_backend_labels():
     assert _core_py.BACKEND == "python"
     assert _core_cy.BACKEND == "cython"
 
 
+@needs_cy
 def test_two_term_max_below_differential():
     rng = random.Random(12)
     for _ in range(2000):
@@ -29,6 +48,7 @@ def test_two_term_max_below_differential():
         assert _core_py.two_term_max_below(*args) == _core_cy.two_term_max_below(*args)
 
 
+@needs_cy
 def test_two_term_max_below_bignum_differential():
     rng = random.Random(13)
     for _ in range(200):
@@ -44,10 +64,137 @@ def test_two_term_max_below_result_is_valid():
     x = Fraction(11, 24)
     found, num, den, a, b, _ = _core_py.two_term_max_below(11, 24, 1, 1, 100)
     assert found
-    assert Fraction(num, den) == Fraction(1, a) + Fraction(1, b) == Fraction(9, 20)
+    assert Fraction(num, den) == Fraction(1, a) + Fraction(1, b) == Fraction(9, 20) < x
     assert (a, b) == (4, 5)
 
 
+def test_max_below_oracle_random():
+    rng = random.Random(21)
+    for _ in range(400):
+        xd = rng.randrange(2, 10**5)
+        xn = rng.randrange(1, xd // rng.choice((1, 30, 1000)) + 2)  # scans of ~1/x steps
+        thr_d = xd * rng.randrange(1, 60)
+        thr_n = max(0, xn * thr_d // xd - rng.randrange(0, 200))
+        a_min = rng.randrange(1, 60)
+        allow_equal = bool(rng.getrandbits(1))
+        args = (xn, xd, a_min, thr_n, thr_d, allow_equal)
+        for cap in _caps(args):
+            _same_as_oracle(*args, cap)
+
+
+def test_max_below_oracle_bignum():
+    # xd >= 2^70, scans of up to ~5000 steps
+    rng = random.Random(22)
+    for _ in range(60):
+        xd = rng.randrange(2**70, 2**75)
+        xn = rng.randrange(xd // 5000, xd // 2)
+        thr_d = xd * rng.randrange(1, 5)
+        thr_n = max(1, xn * thr_d // xd - rng.randrange(0, 10**6))
+        args = (xn, xd, 2, thr_n, thr_d, bool(rng.getrandbits(1)))
+        for cap in _caps(args):
+            _same_as_oracle(*args, cap)
+
+
+def test_max_below_oracle_ties():
+    # thresholds equal to the best candidate (scaled, so unreduced) and to
+    # 1/a + 1/(a+1), the scan's stopping bound; with allow_equal the lowest-a
+    # tie wins, without it a tie never counts
+    rng = random.Random(23)
+    ties = 0
+    for _ in range(300):
+        xd = rng.randrange(2, 3000)
+        xn = rng.randrange(1, 2 * xd // rng.choice((1, 50)) + 2)
+        a_min = rng.randrange(1, 20)
+        best = linear_two_term_max_below(xn, xd, a_min, 0, 1)
+        scale = rng.randrange(1, 4)
+        a = rng.randrange(2, 100)
+        for thr_n, thr_d in ((best[1] * scale, best[2] * scale),
+                             ((2 * a + 1) * scale, a * (a + 1) * scale)):
+            for allow_equal in (False, True):
+                args = (xn, xd, a_min, thr_n, thr_d, allow_equal)
+                got = _same_as_oracle(*args)
+                ties += got[0] and got[1] * thr_d == thr_n * got[2]
+                for cap in _caps(args):
+                    _same_as_oracle(*args, cap)
+    assert ties > 100
+    # a win equal to a later a's bound, as 1/2 + 1/12 = 1/3 + 1/4: the
+    # scan stops at that a, unless ties count and nothing was found yet
+    stops = 0
+    for a2 in range(3, 80):
+        bound = Fraction(2 * a2 + 1, a2 * (a2 + 1))
+        for a in range(2, a2):
+            if (bound - Fraction(1, a)).numerator == 1:
+                x = bound + Fraction(1, 10**9)
+                for allow_equal in (False, True):
+                    args = (x.numerator, x.denominator, a, 0, 1, allow_equal)
+                    stops += _same_as_oracle(*args)[3] == a
+                    for cap in _caps(args):
+                        _same_as_oracle(*args, cap)
+    assert stops > 20
+
+
+def test_max_below_oracle_zero_threshold():
+    rng = random.Random(24)
+    for _ in range(200):
+        xd = rng.randrange(2, 10**4)
+        xn = rng.randrange(1, 2 * xd)
+        args = (xn, xd, rng.randrange(1, 30), 0, rng.randrange(1, 50),
+                bool(rng.getrandbits(1)))
+        assert _same_as_oracle(*args)[0]
+        for cap in _caps(args):
+            _same_as_oracle(*args, cap)
+
+
+def test_max_below_oracle_a_min_clamps():
+    # a_min below, at and past the first admissible a = floor(1/x) + 1, and
+    # around 2/x, past which b = a + 1 is forced; also x >= 1
+    rng = random.Random(25)
+    for _ in range(600):
+        xd = rng.randrange(1, 500)
+        xn = rng.randrange(1, 3 * xd)
+        first = xd // xn + 1
+        a_min = max(0, rng.choice((first, 2 * xd // xn)) + rng.randrange(-3, 40))
+        thr_d = rng.randrange(1, 200)
+        thr_n = rng.randrange(0, 3 * thr_d) // rng.choice((1, 20))  # also at or above x
+        args = (xn, xd, a_min, thr_n, thr_d, bool(rng.getrandbits(1)))
+        for cap in _caps(args) | {5}:
+            _same_as_oracle(*args, cap)
+
+
+def test_last_pair_above_against_linear_search():
+    # the scan's stopping bound: largest a with 1/a + 1/(a+1) > n/d (>= with ties)
+    def linear(n, d, allow_equal):
+        a = 0
+        while True:
+            f = (2 * a + 3) * d - n * (a + 1) * (a + 2)
+            if f < 0 or (f == 0 and not allow_equal):
+                return a
+            a += 1
+
+    pairs = [(n, d) for n in range(1, 80) for d in range(1, 80)]
+    pairs += [((2 * a + 1) * k, a * (a + 1) * k) for a in range(1, 300) for k in (1, 3)]
+    rng = random.Random(26)
+    pairs += [(rng.randrange(1, 2**60), rng.randrange(1, 2**70)) for _ in range(300)]
+    for n, d in pairs:
+        if d // n < 10**5:
+            for allow_equal in (False, True):
+                assert _core_py._last_pair_above(n, d, allow_equal) == linear(n, d, allow_equal)
+
+
+def test_max_below_nonpositive_target():
+    assert _core_py.two_term_max_below(0, 5, 2, 1, 10) == (False, 0, 0, 0, 0, 0)
+    assert _core_py.two_term_max_below(-3, 5, 2, 1, 10, True, 0) == (False, 0, 0, 0, 0, 0)
+
+
+def test_max_below_early_abort_skips_the_scan():
+    # x = 1/10^15: the scan runs past a = 10^15 whatever the incumbent, so a
+    # budget of a million iterations is known to be short before the first one
+    q = 10**15
+    assert _core_py.two_term_max_below(1, q, 2, 1, q + 1, False, 10**6) == (
+        False, 0, 0, 0, 0, 10**6 + 1)
+
+
+@needs_cy
 def test_min_competitors_differential():
     for i in (2, 3, 7, 25, 113, 500):
         assert _core_py.two_term_min_competitors(i) == _core_cy.two_term_min_competitors(i)
@@ -73,6 +220,7 @@ def test_min_competitors_against_naive():
     assert got == mins
 
 
+@needs_cy
 def test_direct_terms_differential():
     for i in (2, 3, 10, 200, 1500):
         assert _core_py.direct_mode_terms(i) == _core_cy.direct_mode_terms(i)
@@ -100,4 +248,6 @@ def test_budget_abort_shape():
     args = (1, 10**6, 2, 1, 10**6 + 1, False, 7)
     res = _core_py.two_term_max_below(*args)
     assert res[0] is False and res[5] == 8
-    assert _core_cy.two_term_max_below(*args) == res
+    assert res == linear_two_term_max_below(*args)
+    if _core_cy is not None:
+        assert _core_cy.two_term_max_below(*args) == res

@@ -1,9 +1,12 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from egy.lemma1 import lemma1_certificate
 from egy.rational import (
     EgyptianRep,
     format_rational,
@@ -80,3 +83,34 @@ def test_rep_iter_and_len():
     rep = EgyptianRep((2, 5, 11))
     assert list(rep) == [2, 5, 11]
     assert len(rep) == 3
+
+
+def _with_digit_limit(limit, fn):
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        return fn()
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_format_rational_long_ints_match_str():
+    rng = random.Random(31)
+    values = [rng.randrange(-(2**bits), 2**bits) for bits in range(12_900, 13_100, 7)]
+    values += [2**13_000, 2**13_001 - 1, 10**3913, -(10**20_000) + 1, 7**40_000]
+    values += [rng.randrange(2**bits) for bits in (50_000, 200_000)]
+    expected = _with_digit_limit(0, lambda: [str(v) for v in values])
+    got = _with_digit_limit(4300, lambda: [format_rational(Fraction(v)) for v in values])
+    assert got == expected
+    den = 3**20_000
+    text = _with_digit_limit(4300, lambda: format_rational(Fraction(-1, den)))
+    assert text == _with_digit_limit(0, lambda: f"-1/{den}")
+
+
+def test_certificate_serializes_under_default_digit_limit():
+    # the certified measure at i = 1000 runs to tens of thousands of digits
+    report = lemma1_certificate(1000, "paper")
+    out = _with_digit_limit(4300, report.to_dict)
+    assert len(out["certified_measure"]) > 4300
+    assert _with_digit_limit(0, lambda: parse_rational(out["certified_measure"])) == (
+        report.certified_measure)

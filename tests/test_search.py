@@ -146,3 +146,27 @@ def test_next_point_above_is_cell_right_endpoint(rng):
             assert x <= r
             assert best_underapprox(r, n)[0] == q
             assert best_underapprox((q + r) / 2, n)[0] == q
+
+
+def test_witness_is_lexicographically_smallest():
+    # targets just above sums that have several representations, such as
+    # 7/12 = 1/2 + 1/12 = 1/3 + 1/4 and 11/12 = 1/2 + 1/3 + 1/12 = 1/2 + 1/4 + 1/6
+    reps = {}
+    for a in range(2, 13):
+        for b in range(a + 1, 25):
+            reps.setdefault(Fraction(1, a) + Fraction(1, b), []).append(2)
+            for c in range(b + 1, 25):
+                s = Fraction(1, a) + Fraction(1, b) + Fraction(1, c)
+                reps.setdefault(s, []).append(3)
+    ties = 0
+    for n in (2, 3):
+        # a sum with a shorter representation is a limit of n-term sums
+        # from above, so it is never a best value
+        tied = sorted(s for s, ns in reps.items() if ns.count(n) > 1
+                      and all(has_representation(s, j) is None for j in range(1, n)))
+        for s in tied[:: max(1, len(tied) // 60)]:
+            x = s + Fraction(1, 10**9)
+            value, rep = best_underapprox(x, n)
+            assert brute_best(x, n, max(2000, max(rep))) == (value, tuple(rep)), (x, n)
+            ties += value == s
+    assert ties > 100
