@@ -1,10 +1,10 @@
-"""Pure-Python reference implementations of the hot inner loops.
+"""The hot inner loops: the two-term max-below scan and the two Lemma-1
+enumerations.
 
-The compiled twin (``_core_cy``) implements the same three functions with
-identical semantics; ``egy._kernels`` picks whichever is importable.  Keep
-the two in lock step -- ``tests/test_kernels.py`` diffs them, and diffs the
-max-below scan against the plain linear scan kept in
-``tests/oracle_max_below.py``.
+Callers look these up as ``_kernels.<name>`` at call time.
+``tests/test_kernels.py`` diffs the max-below scan against the plain linear
+scan kept in ``tests/oracle_max_below.py``, and the enumerations against
+naive loops.
 
 All arithmetic is on plain Python ints; fractions are carried as unreduced
 (num, den) pairs and compared by cross multiplication.
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-BACKEND = "python"
+BACKEND = "python"  # the one implementation; benchmark runs record it
 
 
 def _last_pair_above(n, d, allow_equal):

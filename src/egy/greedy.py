@@ -11,11 +11,32 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import EgyptianRep, rep_value
+from .rational import ZERO, EgyptianRep, rep_value
 
 # Greedy denominators grow doubly exponentially (43 -> 1807 -> 3263443 ...);
 # the cap guards against adversarial term counts, not memory-per-term.
 DEFAULT_MAX_TERMS = 12
+
+
+def greedy_completion(
+    x: Fraction, r: int, p: Fraction = ZERO, m_last: int = 0
+) -> tuple[list[int], Fraction]:
+    """Greedy r-term extension of a partial sum p < x, denominators > m_last.
+
+    Returns the r new denominators and the extended sum, read off as x minus
+    the final gap, so no caller re-adds the unit fractions.
+    """
+    denoms = []
+    gap = x - p
+    for _ in range(r):
+        # floor(1/gap) + 1; gap > 0 is invariant because 1/m < gap strictly.
+        # While gap > 1 the natural choice repeats m = 1, so distinctness has
+        # to be forced; once gap <= 1 the recursion is self-increasing.
+        m = max(gap.denominator // gap.numerator + 1, m_last + 1)
+        denoms.append(m)
+        gap -= Fraction(1, m)
+        m_last = m
+    return denoms, x - gap
 
 
 def greedy_underapprox(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> EgyptianRep:
@@ -26,18 +47,7 @@ def greedy_underapprox(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) 
         raise ValueError(f"greedy_underapprox() needs n >= 0, got {n}")
     if n > max_terms:
         raise ValueError(f"n={n} exceeds the term limit {max_terms}")
-    denoms = []
-    gap = Fraction(x)
-    prev = 0
-    for _ in range(n):
-        # floor(1/gap) + 1; gap > 0 is invariant because 1/m < gap strictly.
-        # While gap > 1 the natural choice repeats m = 1, so distinctness has
-        # to be forced; once gap <= 1 the recursion is self-increasing.
-        m = max(gap.denominator // gap.numerator + 1, prev + 1)
-        denoms.append(m)
-        gap -= Fraction(1, m)
-        prev = m
-    return EgyptianRep(tuple(denoms))
+    return EgyptianRep(tuple(greedy_completion(Fraction(x), n)[0]))
 
 
 def greedy_value(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> Fraction:

@@ -84,6 +84,10 @@ def cells_in_window(
     starts at b and may stop early (max_cells); the stretch (a, last.lower]
     still uncovered is returned exactly.  The first cell is clipped at b and
     the last at a, so uncovered + sum of lengths == b - a always holds.
+
+    Each step is one best_underapprox call at the cursor: its value is the
+    cell's lower end, and the emitted upper end is the cursor itself, so no
+    right endpoint is searched for; node_budget caps each of those calls.
     """
     a, b = Fraction(a), Fraction(b)
     if not 0 < a < b <= harmonic(n):
@@ -93,13 +97,14 @@ def cells_in_window(
     cells: list[Cell] = []
     cursor = b
     while len(cells) < max_cells and cursor > a:
-        cell = cell_of(cursor, n, node_budget)
-        # cursor is in (cell.lower, cell.upper]; clip the first emitted cell
-        # at b (later cursors are exact cell endpoints, so this is a no-op)
-        # and the last one at a, so the emitted pieces tile (max(a, lower), b].
-        lower = cell.lower if cell.lower > a else a
-        cells.append(Cell(level=n, lower=lower, upper=cursor, best_rep=cell.best_rep))
-        cursor = cell.lower
+        # cursor is in the cell (best, upper]; the emitted cell ends at the
+        # cursor, which clips the first one at b (later cursors are exact cell
+        # endpoints, so there upper == cursor), and the last one is clipped
+        # at a, so the emitted pieces tile (max(a, best), b].
+        best, rep = best_underapprox(cursor, n, node_budget)
+        lower = best if best > a else a
+        cells.append(Cell(level=n, lower=lower, upper=cursor, best_rep=rep))
+        cursor = best
     uncovered = cursor - a if cursor > a else ZERO
     return cells, uncovered
 

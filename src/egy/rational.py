@@ -14,15 +14,8 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence
-
-try:
-    from gmpy2 import mpq as _mpq
-
-    _HAVE_GMPY2 = True
-except ImportError:  # pragma: no cover
-    _mpq = None
-    _HAVE_GMPY2 = False
 
 Rational = Fraction
 
@@ -91,6 +84,7 @@ def format_rational(value: Fraction) -> str:
     return f"{_int_to_str(value.numerator)}/{_int_to_str(value.denominator)}"
 
 
+@lru_cache(maxsize=64)  # every search call asks for H_n at its level
 def harmonic(n: int) -> Fraction:
     """n-th harmonic number 1 + 1/2 + ... + 1/n; harmonic(0) == 0."""
     if n < 0:
@@ -138,21 +132,15 @@ def rep_value(rep: EgyptianRep) -> Fraction:
 def sum_exact(values: Iterable[Fraction]) -> Fraction:
     """Exact sum, pairwise-balanced so huge denominators multiply log-depth.
 
-    Uses gmpy2.mpq internally when available; the result is always a
-    Fraction.  Sequential Fraction addition is quadratic in the size of the
-    accumulated denominator, which matters for the Lemma-1 sums.
+    Plain Fraction arithmetic.  Sequential addition is quadratic in the size
+    of the accumulated denominator, which matters for the Lemma-1 sums.
     """
     items = list(values)
     if not items:
         return ZERO
-    if _HAVE_GMPY2:
-        items = [_mpq(v.numerator, v.denominator) for v in items]
     while len(items) > 1:
         nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
         if len(items) % 2:
             nxt.append(items[-1])
         items = nxt
-    total = items[0]
-    if _HAVE_GMPY2:
-        return Fraction(int(total.numerator), int(total.denominator))
-    return total
+    return items[0]

@@ -9,7 +9,7 @@ Three engines:
   every branching range finite.  The bottom two levels are closed form: for
   a fixed next-to-last denominator the best last one is
   floor(1/gap) + 1, so the two-term completion is a single linear scan
-  (delegated to the kernel backend).
+  (``_kernels.two_term_max_below``).
 
 * ``has_representation`` -- bounded exhaustive search for an exact j-term
   representation, classic m <= j/remainder pruning.
@@ -29,8 +29,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import _kernels
-from .greedy import DEFAULT_MAX_TERMS, greedy_underapprox
-from .rational import ZERO, EgyptianRep, harmonic, rep_value, sum_exact
+from .greedy import DEFAULT_MAX_TERMS, greedy_completion
+from .rational import ZERO, EgyptianRep, harmonic, sum_exact
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -75,19 +75,6 @@ def _floor_recip(value: Fraction) -> int:
     return value.denominator // value.numerator
 
 
-def _greedy_completion(x: Fraction, p: Fraction, m_last: int, r: int) -> list[int]:
-    """Greedy r-term extension below x with denominators > m_last."""
-    out = []
-    gap = x - p
-    last = m_last
-    for _ in range(r):
-        m = max(last + 1, _floor_recip(gap) + 1)
-        out.append(m)
-        gap -= Fraction(1, m)
-        last = m
-    return out
-
-
 def best_underapprox(
     x: Fraction,
     n: int,
@@ -118,9 +105,7 @@ def best_underapprox(
         return Fraction(1, m), EgyptianRep((m,))
 
     budget = _Budget(node_budget if node_budget is not None else default_node_budget())
-    g = greedy_underapprox(x, n, max_terms)
-    inc_rep = list(g.denominators)
-    inc_val = rep_value(g)
+    inc_rep, inc_val = greedy_completion(x, n)
     # The incumbent vn/vd (reduced), x = xn/xd and every partial sum are
     # integer pairs compared by cross multiplication: this loop runs once
     # per node, and Fraction arithmetic would cost more than the node.
@@ -133,10 +118,8 @@ def best_underapprox(
         budget.spend()
         r = n - k
         if vn * pd <= pn * vd:
-            p = Fraction(pn, pd)
-            comp = _greedy_completion(x, p, m_last, r)
+            comp, val = greedy_completion(x, r, Fraction(pn, pd), m_last)
             inc_rep = prefix + comp
-            val = p + sum_exact(Fraction(1, m) for m in comp)
             vn, vd = val.numerator, val.denominator
         gap_n, gap_d = xn * pd - pn * xd, xd * pd  # x - p > 0, unreduced
         if r == 2:

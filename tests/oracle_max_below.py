@@ -1,6 +1,6 @@
 """The linear two-term max-below scan, kept as the oracle of the fast kernel.
 
-This is the original ``two_term_max_below`` of ``egy._kernels._core_py``,
+This is the original ``two_term_max_below`` of ``egy._kernels``,
 unchanged: every a from the first admissible one is scanned with fresh
 cross multiplications until even 1/a + 1/(a+1) cannot beat the running
 best.  ``tests/test_kernels.py`` diffs the fast kernel against it, tuple

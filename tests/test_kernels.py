@@ -1,22 +1,12 @@
 import random
 from fractions import Fraction
 
-import pytest
-
-from egy._kernels import _core_py
+from egy import _kernels
 from oracle_max_below import linear_two_term_max_below
-
-try:
-    from egy._kernels import _core_cy
-except ImportError:
-    _core_cy = None
-
-# only the tests that diff the two backends need the compiled one
-needs_cy = pytest.mark.skipif(_core_cy is None, reason="compiled kernels not built")
 
 
 def _same_as_oracle(*args):
-    got = _core_py.two_term_max_below(*args)
+    got = _kernels.two_term_max_below(*args)
     assert got == linear_two_term_max_below(*args), args
     return got
 
@@ -27,42 +17,10 @@ def _caps(args):
     return {None, 0, 1, length - 2, length - 1, length, length + 1}
 
 
-@needs_cy
-def test_backend_labels():
-    assert _core_py.BACKEND == "python"
-    assert _core_cy.BACKEND == "cython"
-
-
-@needs_cy
-def test_two_term_max_below_differential():
-    rng = random.Random(12)
-    for _ in range(2000):
-        xd = rng.randrange(2, 10**6)
-        xn = rng.randrange(1, xd)
-        thr_d = xd * rng.randrange(1, 60)
-        thr_n = max(1, xn * thr_d // xd - rng.randrange(0, 200))
-        a_min = rng.randrange(1, 60)
-        allow_equal = bool(rng.getrandbits(1))
-        cap = rng.choice([None, 5, 777, 10**5])
-        args = (xn, xd, a_min, thr_n, thr_d, allow_equal, cap)
-        assert _core_py.two_term_max_below(*args) == _core_cy.two_term_max_below(*args)
-
-
-@needs_cy
-def test_two_term_max_below_bignum_differential():
-    rng = random.Random(13)
-    for _ in range(200):
-        xd = rng.randrange(2**70, 2**75)  # force the object path
-        xn = rng.randrange(xd // 5000, xd // 2)
-        thr_d = xd * rng.randrange(1, 5)
-        thr_n = max(1, xn * thr_d // xd - rng.randrange(0, 10**6))
-        args = (xn, xd, 2, thr_n, thr_d, False, 10**4)
-        assert _core_py.two_term_max_below(*args) == _core_cy.two_term_max_below(*args)
-
 
 def test_two_term_max_below_result_is_valid():
     x = Fraction(11, 24)
-    found, num, den, a, b, _ = _core_py.two_term_max_below(11, 24, 1, 1, 100)
+    found, num, den, a, b, _ = _kernels.two_term_max_below(11, 24, 1, 1, 100)
     assert found
     assert Fraction(num, den) == Fraction(1, a) + Fraction(1, b) == Fraction(9, 20) < x
     assert (a, b) == (4, 5)
@@ -178,26 +136,21 @@ def test_last_pair_above_against_linear_search():
     for n, d in pairs:
         if d // n < 10**5:
             for allow_equal in (False, True):
-                assert _core_py._last_pair_above(n, d, allow_equal) == linear(n, d, allow_equal)
+                assert _kernels._last_pair_above(n, d, allow_equal) == linear(n, d, allow_equal)
 
 
 def test_max_below_nonpositive_target():
-    assert _core_py.two_term_max_below(0, 5, 2, 1, 10) == (False, 0, 0, 0, 0, 0)
-    assert _core_py.two_term_max_below(-3, 5, 2, 1, 10, True, 0) == (False, 0, 0, 0, 0, 0)
+    assert _kernels.two_term_max_below(0, 5, 2, 1, 10) == (False, 0, 0, 0, 0, 0)
+    assert _kernels.two_term_max_below(-3, 5, 2, 1, 10, True, 0) == (False, 0, 0, 0, 0, 0)
 
 
 def test_max_below_early_abort_skips_the_scan():
     # x = 1/10^15: the scan runs past a = 10^15 whatever the incumbent, so a
     # budget of a million iterations is known to be short before the first one
     q = 10**15
-    assert _core_py.two_term_max_below(1, q, 2, 1, q + 1, False, 10**6) == (
+    assert _kernels.two_term_max_below(1, q, 2, 1, q + 1, False, 10**6) == (
         False, 0, 0, 0, 0, 10**6 + 1)
 
-
-@needs_cy
-def test_min_competitors_differential():
-    for i in (2, 3, 7, 25, 113, 500):
-        assert _core_py.two_term_min_competitors(i) == _core_cy.two_term_min_competitors(i)
 
 
 def test_min_competitors_against_naive():
@@ -215,22 +168,17 @@ def test_min_competitors_against_naive():
             if j not in mins or s < mins[j]:
                 mins[j] = s
     got = {
-        j: Fraction(n, d) for j, n, d in _core_py.two_term_min_competitors(i)
+        j: Fraction(n, d) for j, n, d in _kernels.two_term_min_competitors(i)
     }
     assert got == mins
 
-
-@needs_cy
-def test_direct_terms_differential():
-    for i in (2, 3, 10, 200, 1500):
-        assert _core_py.direct_mode_terms(i) == _core_cy.direct_mode_terms(i)
 
 
 def test_direct_terms_match_xk():
     from egy.lemma1 import xk
 
     i = 37
-    terms = _core_py.direct_mode_terms(i)
+    terms = _kernels.direct_mode_terms(i)
     expected = []
     for k in range(i * (i + 1) // 10 + 1):
         x = xk(i, k)
@@ -246,8 +194,6 @@ def test_direct_terms_match_xk():
 def test_budget_abort_shape():
     # x = 1/10^6 with a threshold just below forces a ~10^6-long scan
     args = (1, 10**6, 2, 1, 10**6 + 1, False, 7)
-    res = _core_py.two_term_max_below(*args)
+    res = _kernels.two_term_max_below(*args)
     assert res[0] is False and res[5] == 8
     assert res == linear_two_term_max_below(*args)
-    if _core_cy is not None:
-        assert _core_cy.two_term_max_below(*args) == res

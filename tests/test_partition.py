@@ -86,6 +86,42 @@ def test_cells_tile_exactly(rng):
                 assert c.upper - c.lower <= Fraction(1, n * (n + 1))
 
 
+def _walk_from_cell_of(a, b, n, max_cells):
+    """The window walk spelled out with cell_of, kept as the oracle."""
+    cells = []
+    cursor = b
+    while len(cells) < max_cells and cursor > a:
+        cell = cell_of(cursor, n)
+        cells.append((max(cell.lower, a), cursor, cell.best_rep))
+        cursor = cell.lower
+    return cells, (cursor - a if cursor > a else 0)
+
+
+def test_cells_in_window_matches_cell_of_walk(rng):
+    # The budget caps each best_underapprox of the walk (these windows need
+    # at most 3307 units) but not the right endpoints, which the walk does
+    # not search for (next_point_above needs up to 6380 units here).
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            b = random_rational(rng, max_den=40, hi=harmonic(n))
+            a = b - Fraction(1, rng.randrange(30, 300))
+            if a <= 0:
+                a = b / 2
+            cells, uncovered = cells_in_window(a, b, n, max_cells=6, node_budget=5000)
+            got = [(c.lower, c.upper, c.best_rep) for c in cells]
+            assert (got, uncovered) == _walk_from_cell_of(a, b, n, 6), (a, b, n)
+
+
+def test_cells_in_window_searches_no_right_endpoint(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("cells_in_window searched for a right endpoint")
+
+    monkeypatch.setattr("egy.partition.next_point_above", refuse)
+    cells, uncovered = cells_in_window(Fraction(1, 3), Fraction(1, 2), 2, 10)
+    assert len(cells) == 10 and cells[0].upper == Fraction(1, 2)
+    assert uncovered == cells[-1].lower - Fraction(1, 3) > 0
+
+
 def test_refinement_examples():
     assert refinement_check(Fraction(11, 24), 2)
     assert refinement_check(Fraction(1), 2)
