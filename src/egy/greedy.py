@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import ZERO, EgyptianRep, rep_value
+from .rational import ZERO, EgyptianRep
 
 # Greedy denominators grow doubly exponentially (43 -> 1807 -> 3263443 ...);
 # the cap guards against adversarial term counts, not memory-per-term.
@@ -39,19 +39,25 @@ def greedy_completion(
     return denoms, x - gap
 
 
-def greedy_underapprox(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> EgyptianRep:
-    """First n greedy denominators for x > 0."""
+def _greedy_terms(x: Fraction, n: int, max_terms: int) -> tuple[list[int], Fraction]:
+    """The first n greedy denominators of x > 0 and their exact sum."""
     if x <= 0:
         raise ValueError(f"greedy_underapprox() needs x > 0, got {x}")
     if n < 0:
         raise ValueError(f"greedy_underapprox() needs n >= 0, got {n}")
     if n > max_terms:
         raise ValueError(f"n={n} exceeds the term limit {max_terms}")
-    return EgyptianRep(tuple(greedy_completion(Fraction(x), n)[0]))
+    return greedy_completion(Fraction(x), n)
+
+
+def greedy_underapprox(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> EgyptianRep:
+    """First n greedy denominators for x > 0."""
+    return EgyptianRep(tuple(_greedy_terms(x, n, max_terms)[0]))
 
 
 def greedy_value(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> Fraction:
-    return rep_value(greedy_underapprox(x, n, max_terms))
+    """Exact value of the greedy n-term underapproximation of x > 0."""
+    return _greedy_terms(x, n, max_terms)[1]
 
 
 def greedy_gap(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> Fraction:

@@ -13,19 +13,22 @@ its measure are provided:
   non-integer x_k, k = 0..floor(N/10).  A larger certified lower bound.
 * ``exact``  -- full competitor enumeration: the exact measure of N_i.
 
-All arithmetic is exact; any verification failure raises CertificateError
-naming the violated inequality and its witness.
+All arithmetic is exact and on integers: each check is a cross-multiplied
+inequality on x_k = p/q, each mode's terms go as reduced (num, den) pairs
+into the summation tree of ``egy.rational``, and the certified measure
+becomes a ``Fraction`` once, at the end.  Any verification failure raises
+CertificateError naming the violated inequality and its witness.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from . import _kernels
-from .rational import format_rational, sum_exact
+from .rational import format_rational, sum_pairs
 
-_ONE_THIRD = Fraction(1, 3)
 _PERMILLE = Fraction(1, 1000)
 
 MODES = ("paper", "direct", "exact")
@@ -69,63 +72,82 @@ def xk(i: int, k: int) -> Fraction:
     return Fraction(big * (big + 2 * k), big - 2 * k)
 
 
-def _fractional_part(v: Fraction) -> Fraction:
-    return v - (v.numerator // v.denominator)
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
 
 
-def _paper_certificate(i: int) -> tuple[Fraction, int]:
-    if i < 1000:
-        raise ValueError(f"paper mode needs i >= 1000, got {i}")
+def _paper_terms(i: int) -> list[tuple[int, int]]:
+    """The selected right parts of the paper certificate, as reduced pairs.
+
+    For each l in [ceil(N/100), floor(3N/200)] one of x_2l, x_2l+1 is
+    picked and checked.  Like ``_kernels.direct_mode_terms`` it works on
+    x_k = p/q with p = N(N + 2k), q = N - 2k and cross multiplies every
+    inequality, so a ``Fraction`` is built only for a failing witness.
+    """
     big = i * (i + 1)
     lo = -((-big) // 100)  # ceil(N/100)
     hi = (3 * big) // 200
     count = hi - lo + 1
     if 200 * count < i * i:
         raise CertificateError(f"|L| = {count} < i^2/200 at i={i}")
-    cap = Fraction(6 * i * i, 5)
-    floor_bound = Fraction(25, 108 * i**4)
-    lengths = []
+    cap = 6 * i * i          # x_k < 6i^2/5  <=>  5p < 6i^2 q
+    floor_bound = 108 * i**4  # right part > 25/(108 i^4)
+    terms = []
     prev_cell = 0
     for l in range(lo, hi + 1):
-        x_even = xk(i, 2 * l)
-        x_odd = xk(i, 2 * l + 1)
-        diff = x_odd - x_even
-        if not Fraction(13, 3) <= diff <= Fraction(14, 3):
+        q_even = big - 4 * l
+        p_even = big * (big + 4 * l)
+        q_odd = q_even - 2
+        p_odd = p_even + 2 * big
+        # x_odd - x_even = dn/dd must lie in [13/3, 14/3]
+        dn = p_odd * q_even - p_even * q_odd
+        dd = q_even * q_odd
+        if not 13 * dd <= 3 * dn <= 14 * dd:
             raise CertificateError(
-                f"difference {diff} outside [13/3, 14/3] at i={i}, l={l}"
+                f"difference {Fraction(dn, dd)} outside [13/3, 14/3] at i={i}, l={l}"
             )
         # one of the pair must have fractional part >= 1/3, else the two
         # floors would be more than 14/3 apart
-        for k, x_val in ((2 * l, x_even), (2 * l + 1, x_odd)):
-            if _fractional_part(x_val) >= _ONE_THIRD:
-                break
+        if 3 * (p_even % q_even) >= q_even:
+            k, p, q = 2 * l, p_even, q_even
+        elif 3 * (p_odd % q_odd) >= q_odd:
+            k, p, q = 2 * l + 1, p_odd, q_odd
         else:
             raise CertificateError(
                 f"no fractional part >= 1/3 in pair at i={i}, l={l}"
             )
-        if x_val >= cap:
-            raise CertificateError(f"x_k = {x_val} >= 6i^2/5 at i={i}, k={k}")
-        floor_x = x_val.numerator // x_val.denominator
+        if 5 * p >= cap * q:
+            raise CertificateError(f"x_k = {Fraction(p, q)} >= 6i^2/5 at i={i}, k={k}")
+        floor_x = p // q
         cell = floor_x + 1
         if cell <= prev_cell:
             raise CertificateError(f"repeated cell j={cell} at i={i}, k={k}")
         prev_cell = cell
-        length = Fraction(1, floor_x) - 1 / x_val
-        if length <= floor_bound:
+        # 1/floor(x_k) - 1/x_k = (p - floor_x q)/(floor_x p)
+        num = p - floor_x * q
+        den = floor_x * p
+        if floor_bound * num <= 25 * den:
             raise CertificateError(
-                f"right part {length} <= 25/(108 i^4) at i={i}, k={k}"
+                f"right part {Fraction(num, den)} <= 25/(108 i^4) at i={i}, k={k}"
             )
-        lengths.append(length)
-    total = sum_exact(lengths)
-    if total * 1000 * (i - 1) * i <= 1:
+        terms.append(_reduced(num, den))
+    return terms
+
+
+def _paper_certificate(i: int) -> tuple[Fraction, int]:
+    if i < 1000:
+        raise ValueError(f"paper mode needs i >= 1000, got {i}")
+    terms = _paper_terms(i)
+    total = sum_pairs(terms)
+    if total.numerator * 1000 * (i - 1) * i <= total.denominator:
         raise CertificateError(f"certified total {total} below 1 permille at i={i}")
-    return total, count
+    return total, len(terms)
 
 
 def _direct_certificate(i: int) -> tuple[Fraction, int]:
     terms = _kernels.direct_mode_terms(i)
-    total = sum_exact(Fraction(num, den) for _, num, den in terms)
-    return total, len(terms)
+    return sum_pairs(_reduced(num, den) for _, num, den in terms), len(terms)
 
 
 def nongreedy_two_term_measure(i: int) -> Fraction:
@@ -145,14 +167,14 @@ def nongreedy_two_term_measure(i: int) -> Fraction:
 def _measure_above_competitors(i: int, competitors: list[tuple[int, int, int]]) -> Fraction:
     """Measure of the parts of the greedy cells above their minimal
     competitors, as listed by ``two_term_min_competitors(i)``."""
-    inv_i = Fraction(1, i)
     parts = []
     for j, s_num, s_den in competitors:
-        right = inv_i + Fraction(1, j - 1)
-        s = Fraction(s_num, s_den)
-        if s < right:
-            parts.append(right - s)
-    return sum_exact(parts)
+        # 1/i + 1/(j-1) - s_num/s_den over the common denominator i(j-1) s_den
+        right_den = i * (j - 1)
+        num = (i + j - 1) * s_den - s_num * right_den
+        if num > 0:
+            parts.append(_reduced(num, right_den * s_den))
+    return sum_pairs(parts)
 
 
 def _exact_certificate(i: int) -> tuple[Fraction, int]:

@@ -4,9 +4,10 @@ Every quantity in this package is an exact ``fractions.Fraction`` -- there is
 no floating point anywhere.  This module adds the handful of primitives the
 rest of the code is built on: harmonic numbers, the representation type for
 sums of distinct unit fractions, string (de)serialization in ``p/q`` form,
-and a balanced exact summation helper for the certificate modules, which add
-up to a few hundred thousand fractions with large pairwise-coprime
-denominators.
+and the one exact summation path: a balanced tree over reduced integer
+(num, den) pairs, which the certificate modules feed directly with up to a
+few hundred thousand terms, and which ``sum_exact`` adapts to ``Fraction``
+values.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Sequence
 
 Rational = Fraction
@@ -129,18 +131,58 @@ def rep_value(rep: EgyptianRep) -> Fraction:
     return sum_exact(Fraction(1, m) for m in rep.denominators)
 
 
-def sum_exact(values: Iterable[Fraction]) -> Fraction:
-    """Exact sum, pairwise-balanced so huge denominators multiply log-depth.
+def _add_reduced(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """an/ad + bn/bd for reduced pairs with positive denominators, reduced.
 
-    Plain Fraction arithmetic.  Sequential addition is quadratic in the size
-    of the accumulated denominator, which matters for the Lemma-1 sums.
+    Knuth's gcd step (TAOCP 4.5.1), as in ``Fraction`` addition: with
+    g = gcd(ad, bd) the only common factor the numerator can share with the
+    denominator divides g, so a gcd against g keeps the sum reduced.
     """
-    items = list(values)
+    g = gcd(ad, bd)
+    if g == 1:
+        return an * bd + ad * bn, ad * bd
+    s = ad // g
+    t = an * (bd // g) + bn * s
+    g2 = gcd(t, g)
+    if g2 == 1:
+        return t, s * bd
+    return t // g2, s * (bd // g2)
+
+
+def sum_pairs(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of reduced (num, den) pairs with den > 0.
+
+    Neighbours are merged level by level, so huge denominators multiply at
+    log depth; sequential addition is quadratic in the size of the running
+    denominator, which matters for the Lemma-1 sums.  Every merge keeps its
+    sum reduced, so the result becomes a ``Fraction`` without another gcd.
+    """
+    items = list(pairs)
     if not items:
         return ZERO
     while len(items) > 1:
-        nxt = [items[i] + items[i + 1] for i in range(0, len(items) - 1, 2)]
+        it = iter(items)
+        nxt = [_add_reduced(an, ad, bn, bd) for (an, ad), (bn, bd) in zip(it, it)]
         if len(items) % 2:
             nxt.append(items[-1])
         items = nxt
-    return items[0]
+    return _from_reduced(*items[0])
+
+
+def _from_reduced(num: int, den: int) -> Fraction:
+    """The ``Fraction`` num/den for a reduced pair with den > 0, without the
+    gcd that ``Fraction(num, den)`` spends on normalising it.
+
+    Fills the two slots ``Fraction`` keeps its value in (the same names in
+    Python 3.10 through 3.13), so it needs no version-specific constructor:
+    the private ``_normalize=False`` argument is gone in 3.12.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
+def sum_exact(values: Iterable[Fraction]) -> Fraction:
+    """Exact sum of fractions: ``sum_pairs`` over their reduced parts."""
+    return sum_pairs((v.numerator, v.denominator) for v in values)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shlex
 from pathlib import Path
@@ -166,3 +167,29 @@ def test_global_flags_on_either_side(capsys):
         assert exc.value.code == 2
     with pytest.raises(SystemExit):
         main([*window, "--threads", "0"])
+
+
+# sha256 of stdout, recorded before the certificates moved onto integer
+# pairs; the certificate commands print rationals of up to 95,000 characters
+GOLDEN_STDOUT = [
+    (("lemma1", "1000", "--mode", "paper"),
+     "535d46e9de65e0d0c68896c29e4d25e0cd21fabc0fab3aa3b3ddee658aa449ae"),
+    (("lemma1", "300", "--mode", "direct"),
+     "693a15a69994edd460274e9ca48b35b8709cad9330b9c8d47ff8323eed2b25e1"),
+    (("lemma1", "120", "--mode", "exact"),
+     "62209908c71e69d333bc678f5b927285e642cca9ccaaebc335cfb2e0492f98c2"),
+    (("nongreedy", "120"),
+     "a5841e0a267d4674416dcb1df9aa5f6792538dbd8ba8babca0c93b0ffbe421ca"),
+    (("decay", "1/3", "23/60", "2", "--imax", "26", "--slice-bound", "exact"),
+     "bc7686d6a515bff93262a976cf86467923e565212da056442f386d712dfb0b0e"),
+    (("greedy", "11/24", "3"),
+     "eb2f9d58c30abb12aabe4e44004ea28976910d12447597b7df7a207398a97b2c"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
+                         ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
+def test_golden_stdout_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from egy.greedy import DEFAULT_MAX_TERMS, greedy_gap, greedy_underapprox, greedy_value
+from egy.rational import rep_value
 
 positive_rationals = st.fractions(min_value=Fraction(1, 10**6), max_value=100)
 
@@ -74,3 +75,23 @@ def test_gap_bound(x, n):
 def test_strictly_increasing_denominators(x, n):
     denoms = list(greedy_underapprox(x, n))
     assert all(a < b for a, b in zip(denoms, denoms[1:]))
+
+
+def test_value_and_gap_match_rep_value(rng):
+    # greedy_value reads the sum off the greedy loop; rep_value re-adds it
+    for _ in range(300):
+        x = Fraction(rng.randrange(1, 10**6), rng.randrange(1, 10**6))
+        n = rng.randrange(0, 7)
+        value = rep_value(greedy_underapprox(x, n))
+        assert greedy_value(x, n) == value
+        assert greedy_gap(x, n) == x - value
+    assert greedy_value(Fraction(3), 0) == 0
+
+
+@pytest.mark.parametrize("call", [greedy_value, greedy_gap])
+def test_value_and_gap_validate_arguments(call):
+    for x, n in ((Fraction(0), 1), (Fraction(-1, 2), 1), (Fraction(1, 2), -1),
+                 (Fraction(1, 2), DEFAULT_MAX_TERMS + 1)):
+        with pytest.raises(ValueError):
+            call(x, n)
+    assert call(Fraction(1, 2), 13, max_terms=13) > 0

@@ -3,7 +3,15 @@ from fractions import Fraction
 
 import pytest
 
-from egy.lemma1 import lemma1_certificate, nongreedy_two_term_measure, xk
+import oracle_lemma1
+from egy import lemma1, measure
+from egy.lemma1 import (
+    CertificateError,
+    lemma1_certificate,
+    nongreedy_two_term_measure,
+    xk,
+)
+from egy.partition import Cell
 from egy.search import best_underapprox
 from oracle_bruteforce import brute_two_term_nongreedy
 
@@ -150,3 +158,68 @@ def test_report_dict_round_trip():
         "i", "mode", "selected_count", "certified_measure",
         "interval_length", "ratio", "pass",
     }
+
+
+# -- the integer certificates against the Fraction oracle ------------------
+# Fraction equality compares numerator and denominator as stored, so a
+# result left unreduced by the integer code would fail these comparisons.
+
+
+@pytest.mark.parametrize("i", [1000, 1001, 1234])
+def test_paper_mode_matches_fraction_oracle(i):
+    report = lemma1_certificate(i, "paper")
+    total, count = oracle_lemma1.paper_certificate(i)
+    assert report.certified_measure == total
+    assert report.selected_count == count
+
+
+def _paper_outcome(run, i):
+    try:
+        return "ok", run(i)
+    except CertificateError as exc:
+        return "error", str(exc)
+
+
+def test_paper_checks_match_oracle_below_1000():
+    # below i = 1000 the |L| and x_k < 6i^2/5 checks fail for some i, so
+    # both the witnesses in the messages and the passing terms are compared
+    def integer_lengths(i):
+        return [Fraction(num, den) for num, den in lemma1._paper_terms(i)]
+
+    outcomes = set()
+    for i in list(range(2, 60)) + list(range(60, 400, 13)):
+        expected = _paper_outcome(oracle_lemma1.paper_lengths, i)
+        assert _paper_outcome(integer_lengths, i) == expected, i
+        outcomes.add(expected[1].split(" ")[0] if expected[0] == "error" else "ok")
+    assert outcomes == {"ok", "|L|", "x_k"}
+
+
+def test_exact_and_nongreedy_match_fraction_oracle():
+    for i in list(range(2, 61)) + [77, 101, 150]:
+        expected = oracle_lemma1.nongreedy_measure(i)
+        assert nongreedy_two_term_measure(i) == expected, i
+        report = lemma1_certificate(i, "exact")
+        assert report.certified_measure == expected, i
+
+
+def test_direct_mode_matches_fraction_oracle():
+    for i in list(range(2, 40)) + list(range(40, 301, 17)):
+        report = lemma1_certificate(i, "direct")
+        total, count = oracle_lemma1.direct_certificate(i)
+        assert report.certified_measure == total, i
+        assert report.selected_count == count
+
+
+@pytest.mark.parametrize("lower, upper, level, i_max", [
+    (Fraction(1, 3), Fraction(23, 60), 2, 26),
+    (Fraction(1, 2), Fraction(1, 2) + Fraction(1, 40), 5, 48),
+])
+def test_decay_exact_slices_match_fraction_oracle(monkeypatch, lower, upper, level, i_max):
+    cell = Cell(level=level, lower=lower, upper=upper, best_rep=None)
+    report = measure.cell_decay_bound(cell, i_max, slice_bound="exact")
+    monkeypatch.setattr(measure, "sum_exact", oracle_lemma1.fraction_sum)
+    monkeypatch.setattr(measure, "nongreedy_two_term_measure", oracle_lemma1.nongreedy_measure)
+    expected = measure.cell_decay_bound(cell, i_max, slice_bound="exact")
+    assert report.to_dict() == expected.to_dict()
+    assert report.enclosure == expected.enclosure
+    assert report.note is None  # i_max > i0, so the slices were summed

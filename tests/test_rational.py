@@ -1,6 +1,8 @@
+import pickle
 import random
 import sys
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -15,9 +17,23 @@ from egy.rational import (
     parse_rational,
     rep_value,
     sum_exact,
+    sum_pairs,
 )
 
 rationals = st.fractions(min_value=-1000, max_value=1000)
+# few distinct denominators, so that many addends share factors or repeat
+shared_denominators = st.builds(
+    Fraction,
+    st.integers(min_value=-(10**30), max_value=10**30),
+    st.sampled_from([1, 2, 3, 4, 6, 12, 35, 360, 2**61 - 1, 6 * (2**61 - 1), 10**30]),
+)
+addends = st.one_of(rationals, shared_denominators, st.just(Fraction(0)),
+                    st.fractions(min_value=-1, max_value=1, max_denominator=10**40))
+addend_lists = st.one_of(
+    st.lists(addends, max_size=40),
+    st.lists(addends, max_size=12).map(lambda xs: xs + xs),  # repeated values
+    st.lists(addends, max_size=12).map(lambda xs: xs + [-x for x in reversed(xs)]),  # sum 0
+)
 
 
 def test_harmonic_values():
@@ -65,6 +81,35 @@ def test_exactness(a, b):
 def test_sum_exact_matches_builtin(values):
     assert sum_exact(values) == sum(values, Fraction(0))
     assert isinstance(sum_exact(values), Fraction)
+
+
+@given(addend_lists)
+def test_sum_pairs_is_exact_and_reduced(values):
+    total = sum_pairs((v.numerator, v.denominator) for v in values)
+    expected = sum(values, Fraction(0))
+    assert type(total) is Fraction
+    num, den = total.numerator, total.denominator
+    assert den > 0 and gcd(num, den) == 1
+    assert (num, den) == (expected.numerator, expected.denominator)
+    assert hash(total) == hash(Fraction(num, den)) == hash(expected)
+    assert {expected: 1}[total] == 1
+    assert str(total) == str(expected) and repr(total) == repr(expected)
+    assert total + Fraction(1, 3) == expected + Fraction(1, 3)
+    assert pickle.loads(pickle.dumps(total)) == expected
+    assert sum_exact(values) == expected
+
+
+def test_sum_pairs_empty_and_single():
+    assert sum_pairs([]) == 0 and sum_pairs([]).denominator == 1
+    assert sum_pairs([(-7, 3)]) == Fraction(-7, 3)
+    assert sum_pairs(iter([(1, 6), (-1, 6)])).denominator == 1
+    assert sum_exact([]) == 0 and sum_exact([]).denominator == 1
+    assert sum_exact([Fraction(5, 4)]) == Fraction(5, 4)
+
+
+def test_fraction_slots_are_the_ones_filled():
+    # sum_pairs builds its result by writing these two slots, with no gcd
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
 
 
 @given(rationals)
