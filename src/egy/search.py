@@ -9,7 +9,9 @@ Three engines:
   every branching range finite.  The bottom two levels are closed form: for
   a fixed next-to-last denominator the best last one is
   floor(1/gap) + 1, so the two-term completion is a single linear scan
-  (``_kernels.two_term_max_below``).
+  (``_kernels.two_term_max_below``).  A node whose children are certain
+  to spend more than the budget left raises before visiting them
+  (``_certain_work``).
 
 * ``has_representation`` -- bounded exhaustive search for an exact j-term
   representation, classic m <= j/remainder pruning.
@@ -73,6 +75,46 @@ class _Budget:
 def _floor_recip(value: Fraction) -> int:
     """floor(1/value) for value > 0."""
     return value.denominator // value.numerator
+
+
+def _consecutive_run(m: int, r: int) -> tuple[int, int]:
+    """1/m + ... + 1/(m+r-1) as rn/rd with rd = m(m+1)...(m+r-1)."""
+    rn, rd = 0, 1
+    for t in range(m, m + r):
+        rn, rd = rn * t + rd, rd * t
+    return rn, rd
+
+
+def _certain_work(gap_n: int, gap_d: int, r: int, m: int, limit: int) -> int:
+    """A lower bound on the units the children of a search node must spend.
+
+    The node has r >= 3 terms left, x - p = gap_n/gap_d > 0 and first child
+    m.  The incumbent stays below x, so the node loop cannot break at a
+    child m with p + 1/m + ... + 1/(m+r-1) >= x; these certain children
+    are a prefix of the loop.  Each costs its entry unit, the loop's unit
+    after it and at least its own certain work: with two terms left that is
+    the scan, whose threshold lies below its gap g, so it cannot stop
+    before a = _kernels._last_pair_above(g, allow_equal=True) + 1 (see
+    ``two_term_max_below``).  Summing stops once the bound passes limit,
+    and with r = 3 also once the children left cannot carry it past limit.
+    """
+    rn, rd = _consecutive_run(m, r)
+    last_m = (r * gap_d - 1) // gap_n  # run_r(m) < r/m: no later child is certain
+    bound = 0
+    while rn * gap_d >= gap_n * rd and bound <= limit:
+        cn, cd = gap_n * m - gap_d, gap_d * m  # the child's gap, > 0
+        first = max(m + 1, cd // cn + 1)  # the child's first denominator
+        if r > 3:
+            bound += 2 + _certain_work(cn, cd, r - 1, first, limit - bound - 2)
+        elif bound + (last_m - m + 1) * (cd // cn + 5) <= limit:
+            break  # a scan spends at most 1/g + 2 units, and g grows with m
+        else:
+            bound += 2 + max(1, _kernels._last_pair_above(cn, cd, True) - first + 2)
+        # drop 1/m and add 1/(m+r), as in the node loop
+        q = rd // m
+        rn, rd = (rn - q) // m * (m + r) + q, q * (m + r)
+        m += 1
+    return bound
 
 
 def best_underapprox(
@@ -148,12 +190,14 @@ def best_underapprox(
                         inc_rep = new_rep
             return
         m = max(m_last + 1, gap_d // gap_n + 1)
-        # densest possible completion from m uses consecutive denominators:
-        # run = 1/m + ... + 1/(m+r-1) = rn/rd with rd = m(m+1)...(m+r-1)
-        rd = 1
-        for t in range(r):
-            rd *= m + t
-        rn = sum(rd // (m + t) for t in range(r))
+        need = _certain_work(gap_n, gap_d, r, m, budget.left)
+        if need > budget.left:
+            raise NodeBudgetExceeded(
+                f"search node budget exhausted: the {r}-term subtree at "
+                f"{prefix} needs at least {need} more units, {budget.left} left"
+            )
+        # densest possible completion from m uses consecutive denominators
+        rn, rd = _consecutive_run(m, r)
         while True:
             reach = (pn * rd + rn * pd) * vd - vn * pd * rd  # sign of p + run - inc
             if reach < 0:
@@ -238,9 +282,8 @@ def _min_jterm_above(
         while True:
             if p + run <= q:
                 break  # even consecutive denominators cannot climb past q
-            hi = cutoff if best is None else best
-            if p + Fraction(1, m) < hi:
-                rec(p + Fraction(1, m), k + 1, m)
+            # no cutoff test: 1/m < q - p, so p + 1/m < q < cutoff
+            rec(p + Fraction(1, m), k + 1, m)
             run += Fraction(1, m + r) - Fraction(1, m)
             m += 1
             budget.spend()

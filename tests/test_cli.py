@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -152,6 +155,15 @@ def test_readme_examples(capsys):
             assert out.startswith("level,lower,upper,length,best_rep\n")
 
 
+def test_python_dash_m_egy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "egy", "best", "11/24", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"value": "9/20", "rep": [4, 5]}
+
+
 def test_global_flags_on_either_side(capsys):
     window = ["cells", "1/3", "1/2", "2", "--max-cells", "3"]
     before = run(capsys, "--csv", *window)
@@ -170,7 +182,8 @@ def test_global_flags_on_either_side(capsys):
 
 
 # sha256 of stdout, recorded before the certificates moved onto integer
-# pairs; the certificate commands print rationals of up to 95,000 characters
+# pairs (the certificate commands print rationals of up to 95,000
+# characters) and, for sample, before searches raised on over-budget subtrees
 GOLDEN_STDOUT = [
     (("lemma1", "1000", "--mode", "paper"),
      "535d46e9de65e0d0c68896c29e4d25e0cd21fabc0fab3aa3b3ddee658aa449ae"),
@@ -184,6 +197,8 @@ GOLDEN_STDOUT = [
      "bc7686d6a515bff93262a976cf86467923e565212da056442f386d712dfb0b0e"),
     (("greedy", "11/24", "3"),
      "eb2f9d58c30abb12aabe4e44004ea28976910d12447597b7df7a207398a97b2c"),
+    (("sample", "2", "5", "--count", "200", "--seed", "7", "--node-budget", "300000", "--csv"),
+     "c0224629571adc431657c40d2189cb0c8ffdc9d8994c69a49455c11024848ca9"),
 ]
 
 

@@ -1,18 +1,38 @@
+import re
 from fractions import Fraction
 
 import pytest
 
+import oracle_min_above
 from conftest import random_rational
+from egy import search
 from egy.greedy import greedy_value
 from egy.rational import harmonic
 from egy.search import (
     NodeBudgetExceeded,
     ShorterRepresentationError,
+    _Budget,
     best_underapprox,
     has_representation,
     next_point_above,
 )
 from oracle_bruteforce import brute_best
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """Every budget object the search creates, in order of creation."""
+    made = []
+
+    class Recorded(_Budget):
+        __slots__ = ()
+
+        def __init__(self, limit):
+            super().__init__(limit)
+            made.append(self)
+
+    monkeypatch.setattr(search, "_Budget", Recorded)
+    return made
 
 
 def test_counterexample_fixture():
@@ -170,3 +190,63 @@ def test_witness_is_lexicographically_smallest():
             assert brute_best(x, n, max(2000, max(rep))) == (value, tuple(rep)), (x, n)
             ties += value == s
     assert ties > 100
+
+
+def test_budget_contract(budgets, rng):
+    # the units U an unlimited run spends are exactly enough: budget U gives
+    # the same answer and U - 1 raises, however early the search gives up
+    cases = [
+        (Fraction(3, 101), 3),  # small x: scans of thousands of steps
+        (Fraction(3, 1001), 3),
+        (Fraction(1, 97) + Fraction(1, 10**5), 3),
+        (Fraction(11, 24), 5),
+        (Fraction(9, 10), 5),
+        (Fraction(7, 9), 5),
+    ]
+    cases += [(random_rational(rng, max_den=200, hi=Fraction(3, 2)), n)
+              for n in (3, 4, 5) for _ in range(8)]
+    unlimited = 10**7
+    checked = 0
+    for x, n in cases:
+        budgets.clear()
+        try:
+            result = best_underapprox(x, n, node_budget=unlimited)
+        except NodeBudgetExceeded:
+            continue
+        units = unlimited - budgets[0].left
+        assert best_underapprox(x, n, node_budget=units) == result, (x, n)
+        with pytest.raises(NodeBudgetExceeded):
+            best_underapprox(x, n, node_budget=units - 1)
+        checked += 1
+    assert checked >= 20
+
+
+def test_over_budget_subtree_raises_before_its_children(budgets):
+    # the root's children are certain to spend 165,099 units (unlimited, the
+    # search spends 165,100 with the root's own), far more than 100,000
+    x = Fraction(1, 97) + Fraction(1, 10**5)
+    with pytest.raises(NodeBudgetExceeded) as info:
+        best_underapprox(x, 3, node_budget=100_000)
+    assert budgets[0].left == 99_999  # only the root's entry unit is spent
+    need, left = map(int, re.search(r"needs at least (\d+) more units, (\d+) left",
+                                    str(info.value)).groups())
+    assert need > left == 99_999
+
+
+def test_next_point_above_matches_oracle(budgets, rng):
+    # the same value and the same budget left, or a raise on both sides
+    for n, draws in ((1, 10), (2, 10), (3, 8), (4, 5)):
+        for _ in range(draws):
+            x = random_rational(rng, max_den=90, hi=harmonic(n))
+            q, _ = best_underapprox(x, n)
+            for limit in (40, 400, 4_000, 40_000):
+                budgets.clear()
+                oracle_budget = _Budget(limit)
+                try:
+                    expected = oracle_min_above.next_point_above(q, n, oracle_budget)
+                except NodeBudgetExceeded:
+                    with pytest.raises(NodeBudgetExceeded):
+                        next_point_above(q, n, node_budget=limit, check=False)
+                    continue
+                assert next_point_above(q, n, node_budget=limit, check=False) == expected
+                assert budgets[0].left == oracle_budget.left, (q, n, limit)
