@@ -52,10 +52,9 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     When the scan would pass max_iters iterations it aborts and reports
     iterations = max_iters + 1 with found=False; the caller's budget
     accounting turns that into a resource error, never a wrong answer.
-    Below a threshold under x every candidate is under x too, so the scan
-    cannot stop before the last a with 1/a + 1/(a+1) >= x; a scan that
-    provably runs past max_iters therefore aborts before its first
-    iteration, with the same result.
+    The scan always starts; ``egy.search`` raises before calling it when
+    the scan's certain length passes the budget (with a threshold under x
+    it cannot stop before the last a with 1/a + 1/(a+1) >= x).
     """
     if xn <= 0:
         return (False, 0, 0, 0, 0, 0)
@@ -67,14 +66,8 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     a0 = a
     # past split, b = a + 1 is forced and 1/a + 1/(a+1) < x
     split = 2 * xd // xn
-    if max_iters is None:
-        a_abort = None
-    else:
-        a_abort = a0 + max(max_iters, 0)  # the a whose iteration is one too many
-        aborted = (False, 0, 0, 0, 0, a_abort - a0 + 1)
-        if (a_abort <= split + 1 and thr_n * xd < xn * thr_d
-                and _last_pair_above(xn, xd, True) + 1 >= a_abort):
-            return aborted
+    # the a whose iteration is one too many
+    a_abort = None if max_iters is None else a0 + max(max_iters, 0)
     bn, bd = thr_n, thr_d
     found = False
     res_a = res_b = 0
@@ -117,7 +110,7 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
         last = _last_pair_above(bn, bd, False)
         a += 1
     if a == a_abort:
-        return aborted
+        return (False, 0, 0, 0, 0, a - a0 + 1)
     return (found, bn, bd, res_a, res_b, a - a0 + 1)
 
 

@@ -307,38 +307,26 @@ def cell_decay_bound(cell: Cell, i_max: int, slice_bound: str = "lemma") -> Deca
     note = None
     if i_max <= i0:
         note = "i_max <= i0: tail dominates, the bound is vacuous"
-        enclosure = MeasureEnclosure(ZERO, length)
-        ratio = ONE
-        return DecayReport(
-            cell_lower=cell.lower,
-            cell_upper=cell.upper,
-            level=cell.level,
-            i0=i0,
-            i_max=i_max,
-            slice_bound=slice_bound,
-            enclosure=enclosure,
-            ratio=ratio,
-            note=note,
-        )
-    exceptional = length - Fraction(1, i0)
-    slices_total = Fraction(1, i0) - Fraction(1, i_max)  # sum of |I_i|
-    if slice_bound == "exact":
-        certified = sum_exact(
-            nongreedy_two_term_measure(i) for i in range(i0 + 1, i_max + 1)
-        )
-    else:
-        start = max(i0 + 1, 1000)
-        if start <= i_max:
-            # sum of |I_i| over i >= start telescopes to 1/(start-1) - 1/i_max
-            covered = Fraction(1, start - 1) - Fraction(1, i_max)
-            certified = covered / 1000
-        else:
-            certified = ZERO
-            note = "no slice reaches i >= 1000; lemma bound certifies nothing"
-    upper = exceptional + (slices_total - certified) + Fraction(1, i_max)
-    if upper > length:
         upper = length
-    enclosure = MeasureEnclosure(ZERO, upper)
+    else:
+        exceptional = length - Fraction(1, i0)
+        slices_total = Fraction(1, i0) - Fraction(1, i_max)  # sum of |I_i|
+        if slice_bound == "exact":
+            certified = sum_exact(
+                nongreedy_two_term_measure(i) for i in range(i0 + 1, i_max + 1)
+            )
+        else:
+            start = max(i0 + 1, 1000)
+            if start <= i_max:
+                # sum of |I_i| over i >= start telescopes to 1/(start-1) - 1/i_max
+                covered = Fraction(1, start - 1) - Fraction(1, i_max)
+                certified = covered / 1000
+            else:
+                certified = ZERO
+                note = "no slice reaches i >= 1000; lemma bound certifies nothing"
+        upper = exceptional + (slices_total - certified) + Fraction(1, i_max)
+        if upper > length:
+            upper = length
     return DecayReport(
         cell_lower=cell.lower,
         cell_upper=cell.upper,
@@ -346,7 +334,7 @@ def cell_decay_bound(cell: Cell, i_max: int, slice_bound: str = "lemma") -> Deca
         i0=i0,
         i_max=i_max,
         slice_bound=slice_bound,
-        enclosure=enclosure,
+        enclosure=MeasureEnclosure(ZERO, upper),
         ratio=upper / length,
         note=note,
     )

@@ -9,9 +9,10 @@ Three engines:
   every branching range finite.  The bottom two levels are closed form: for
   a fixed next-to-last denominator the best last one is
   floor(1/gap) + 1, so the two-term completion is a single linear scan
-  (``_kernels.two_term_max_below``).  A node whose children are certain
-  to spend more than the budget left raises before visiting them
-  (``_certain_work``).
+  (``_kernels.two_term_max_below``).  Before a node with two or more
+  terms left runs its scan or visits its children, it bounds the units
+  that work is certain to spend (``_certain_work``) and raises at once
+  when the bound passes the budget left.
 
 * ``has_representation`` -- bounded exhaustive search for an exact j-term
   representation, classic m <= j/remainder pruning.
@@ -20,8 +21,9 @@ Three engines:
   minimized over j <= n; this is the right endpoint of the partition cell
   whose left endpoint is the given value.
 
-Everything is deterministic and single-threaded; exceeding the node budget
-raises, it never degrades to an approximate answer.
+Everything is deterministic and single-threaded.  A search returns the
+exact answer or raises ``ValueError`` (input outside its domain) or
+``NodeBudgetExceeded``; it never degrades to an approximate answer.
 """
 
 from __future__ import annotations
@@ -86,30 +88,33 @@ def _consecutive_run(m: int, r: int) -> tuple[int, int]:
 
 
 def _certain_work(gap_n: int, gap_d: int, r: int, m: int, limit: int) -> int:
-    """A lower bound on the units the children of a search node must spend.
+    """A lower bound on the units a search node must still spend.
 
-    The node has r >= 3 terms left, x - p = gap_n/gap_d > 0 and first child
-    m.  The incumbent stays below x, so the node loop cannot break at a
-    child m with p + 1/m + ... + 1/(m+r-1) >= x; these certain children
-    are a prefix of the loop.  Each costs its entry unit, the loop's unit
-    after it and at least its own certain work: with two terms left that is
-    the scan, whose threshold lies below its gap g, so it cannot stop
-    before a = _kernels._last_pair_above(g, allow_equal=True) + 1 (see
-    ``two_term_max_below``).  Summing stops once the bound passes limit,
+    The node has r >= 2 terms left and x - p = g = gap_n/gap_d > 0; m > 1/g
+    is its first child, or with r = 2 its scan's first a before the clamp
+    to a >= 2.  The incumbent stays below x.
+
+    With r = 2 this is the scan's length: its threshold lies below g, so it
+    cannot stop before a = _kernels._last_pair_above(g, True) + 1, and that
+    a counts as an iteration.
+
+    With r >= 3 the node loop cannot break at a child m with
+    p + 1/m + ... + 1/(m+r-1) >= x; these certain children are a prefix of
+    the loop.  Each costs its entry unit, the loop's unit after it and at
+    least its own certain work.  Summing stops once the bound passes limit,
     and with r = 3 also once the children left cannot carry it past limit.
     """
+    if r == 2:
+        return max(1, _kernels._last_pair_above(gap_n, gap_d, True) + 2 - max(m, 2))
     rn, rd = _consecutive_run(m, r)
     last_m = (r * gap_d - 1) // gap_n  # run_r(m) < r/m: no later child is certain
     bound = 0
     while rn * gap_d >= gap_n * rd and bound <= limit:
         cn, cd = gap_n * m - gap_d, gap_d * m  # the child's gap, > 0
-        first = max(m + 1, cd // cn + 1)  # the child's first denominator
-        if r > 3:
-            bound += 2 + _certain_work(cn, cd, r - 1, first, limit - bound - 2)
-        elif bound + (last_m - m + 1) * (cd // cn + 5) <= limit:
+        if r == 3 and bound + (last_m - m + 1) * (cd // cn + 5) <= limit:
             break  # a scan spends at most 1/g + 2 units, and g grows with m
-        else:
-            bound += 2 + max(1, _kernels._last_pair_above(cn, cd, True) - first + 2)
+        first = max(m + 1, cd // cn + 1)  # the child's first denominator
+        bound += 2 + _certain_work(cn, cd, r - 1, first, limit - bound - 2)
         # drop 1/m and add 1/(m+r), as in the node loop
         q = rd // m
         rn, rd = (rn - q) // m * (m + r) + q, q * (m + r)
@@ -164,6 +169,19 @@ def best_underapprox(
             inc_rep = prefix + comp
             vn, vd = val.numerator, val.denominator
         gap_n, gap_d = xn * pd - pn * xd, xd * pd  # x - p > 0, unreduced
+        m = gap_d // gap_n + 1  # the first child, or the scan's first a
+        if m <= m_last:
+            m = m_last + 1
+        # a scan's certain length ends by a = floor(2/g) + 1, since
+        # 1/a + 1/(a+1) < 2/a; unless m + left - 1 <= 2/g the budget
+        # reaches past that, and the isqrt is skipped
+        if r > 2 or (m + budget.left - 1) * gap_n <= 2 * gap_d:
+            need = _certain_work(gap_n, gap_d, r, m, budget.left)
+            if need > budget.left:
+                raise NodeBudgetExceeded(
+                    f"search node budget exhausted: the {r}-term subtree at "
+                    f"{prefix} needs at least {need} more units, {budget.left} left"
+                )
         if r == 2:
             # the kernel sees the same reduced rem = x - p and thr = inc - p
             # as Fraction arithmetic would give it
@@ -189,13 +207,6 @@ def best_underapprox(
                     if new_rep < inc_rep:
                         inc_rep = new_rep
             return
-        m = max(m_last + 1, gap_d // gap_n + 1)
-        need = _certain_work(gap_n, gap_d, r, m, budget.left)
-        if need > budget.left:
-            raise NodeBudgetExceeded(
-                f"search node budget exhausted: the {r}-term subtree at "
-                f"{prefix} needs at least {need} more units, {budget.left} left"
-            )
         # densest possible completion from m uses consecutive denominators
         rn, rd = _consecutive_run(m, r)
         while True:
@@ -302,7 +313,10 @@ def next_point_above(
 
     q must be an attainable best value at level n: it has an n-term
     representation and no shorter one (a value with a shorter representation
-    is a limit from above of n-term sums and never a best value).
+    is a limit from above of n-term sums and never a best value), and
+    check=True verifies that.  Its cell is at most 1/(n(n+1)) long, so the
+    answer lies in (q, q + 1/(n(n+1))]; no sum there, or q >= H_n, the
+    largest n-term sum, raises ValueError.
     """
     q = Fraction(q)
     if q <= 0:
@@ -311,6 +325,8 @@ def next_point_above(
         raise ValueError(f"next_point_above() needs q > 0, got {q}")
     if n < 1:
         raise ValueError(f"next_point_above() needs n >= 1, got {n}")
+    if q >= harmonic(n):
+        raise ValueError(f"next_point_above() needs q < H_{n} = {harmonic(n)}, got {q}")
     if check:
         for jj in range(1, n):
             witness = has_representation(q, jj)
@@ -319,14 +335,13 @@ def next_point_above(
         if has_representation(q, n) is None:
             raise ValueError(f"{q} has no {n}-term representation")
     budget = _Budget(node_budget if node_budget is not None else default_node_budget())
-    window = Fraction(1, n * (n + 1))
-    while True:
-        # the cell-length bound guarantees a point within the first window
-        best: Fraction | None = None
-        for j in range(1, n + 1):
-            cand = _min_jterm_above(q, j, best if best is not None else q + window, budget)
-            if cand is not None and (best is None or cand < best):
-                best = cand
-        if best is not None:
-            return best
-        window *= 2
+    cutoff = q + Fraction(1, n * (n + 1))
+    best: Fraction | None = None
+    for j in range(1, n + 1):
+        cand = _min_jterm_above(q, j, best if best is not None else cutoff, budget)
+        if cand is not None and (best is None or cand < best):
+            best = cand
+    if best is None:
+        raise ValueError(f"no sum of at most {n} unit fractions lies in ({q}, {cutoff}]: "
+                         f"{q} is not a level-{n} best value")
+    return best

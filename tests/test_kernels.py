@@ -144,14 +144,6 @@ def test_max_below_nonpositive_target():
     assert _kernels.two_term_max_below(-3, 5, 2, 1, 10, True, 0) == (False, 0, 0, 0, 0, 0)
 
 
-def test_max_below_early_abort_skips_the_scan():
-    # x = 1/10^15: the scan runs past a = 10^15 whatever the incumbent, so a
-    # budget of a million iterations is known to be short before the first one
-    q = 10**15
-    assert _kernels.two_term_max_below(1, q, 2, 1, q + 1, False, 10**6) == (
-        False, 0, 0, 0, 0, 10**6 + 1)
-
-
 
 def test_min_competitors_against_naive():
     # naive double loop with Fractions, no windows

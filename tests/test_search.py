@@ -1,4 +1,6 @@
 import re
+import signal
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from egy.search import (
     next_point_above,
 )
 from oracle_bruteforce import brute_best
+from oracle_max_below import linear_two_term_max_below
 
 
 @pytest.fixture
@@ -33,6 +36,28 @@ def budgets(monkeypatch):
 
     monkeypatch.setattr(search, "_Budget", Recorded)
     return made
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _named_bound(error):
+    """The (need, left) pair an early NodeBudgetExceeded names."""
+    found = re.search(r"needs at least (\d+) more units, (\d+) left", str(error))
+    assert found, str(error)
+    return tuple(map(int, found.groups()))
 
 
 def test_counterexample_fixture():
@@ -153,6 +178,18 @@ def test_next_point_above_precondition_violations():
         next_point_above(Fraction(-1, 2), 1)
 
 
+def test_next_point_above_rejects_values_without_a_next_point():
+    # H_n is the largest sum of at most n unit fractions, and at n = 2 the
+    # sums 1 + 1/b above 1 have no least element: neither value has a
+    # point within the cell-length bound 1/(n(n+1)) above it
+    with _deadline(1.0):
+        for n in (2, 3):
+            with pytest.raises(ValueError, match=r"needs q < H_"):
+                next_point_above(harmonic(n), n)
+        with pytest.raises(ValueError, match="not a level-2 best value"):
+            next_point_above(Fraction(1), 2, check=False)
+
+
 def test_next_point_above_is_cell_right_endpoint(rng):
     # constancy of the best value on (q, r], probed at r and the midpoint
     for n in (1, 2, 3):
@@ -205,6 +242,10 @@ def test_budget_contract(budgets, rng):
     ]
     cases += [(random_rational(rng, max_den=200, hi=Fraction(3, 2)), n)
               for n in (3, 4, 5) for _ in range(8)]
+    # n = 2: the whole search is the root's scan
+    cases += [(Fraction(3, 1001), 2), (Fraction(1, 97) + Fraction(1, 10**5), 2),
+              (Fraction(1, 5000) + Fraction(1, 10**9), 2), (Fraction(11, 24), 2)]
+    cases += [(random_rational(rng, max_den=2000, hi=Fraction(3, 2)), 2) for _ in range(8)]
     unlimited = 10**7
     checked = 0
     for x, n in cases:
@@ -218,7 +259,7 @@ def test_budget_contract(budgets, rng):
         with pytest.raises(NodeBudgetExceeded):
             best_underapprox(x, n, node_budget=units - 1)
         checked += 1
-    assert checked >= 20
+    assert checked >= 30
 
 
 def test_over_budget_subtree_raises_before_its_children(budgets):
@@ -228,9 +269,44 @@ def test_over_budget_subtree_raises_before_its_children(budgets):
     with pytest.raises(NodeBudgetExceeded) as info:
         best_underapprox(x, 3, node_budget=100_000)
     assert budgets[0].left == 99_999  # only the root's entry unit is spent
-    need, left = map(int, re.search(r"needs at least (\d+) more units, (\d+) left",
-                                    str(info.value)).groups())
+    need, left = _named_bound(info.value)
     assert need > left == 99_999
+
+
+def test_over_budget_scan_raises_before_its_first_step(budgets):
+    # x = 1/10^15: the root's scan runs past a = 10^15 whatever the
+    # incumbent, so a budget of a million units is known to be short
+    # before its first step
+    with _deadline(1.0):
+        with pytest.raises(NodeBudgetExceeded) as info:
+            best_underapprox(Fraction(1, 10**15), 2, node_budget=10**6)
+    assert budgets[0].left == 10**6 - 1  # only the root's entry unit is spent
+    need, left = _named_bound(info.value)
+    assert need > left == 10**6 - 1
+
+
+def test_certain_scan_work_never_exceeds_the_scan(rng):
+    # with two terms left the bound is the scan's certain length: below any
+    # threshold under the gap g, the linear scan spends at least that much
+    tight = 0
+    for _ in range(300):
+        if rng.random() < 0.3:  # denominators >= 2^70
+            gd = rng.randrange(2**70, 2**75)
+            gn = rng.randrange(gd // 3000, gd // 2)
+        else:
+            gd = rng.randrange(1, 10**5)
+            gn = rng.randrange(1, gd // rng.choice((1, 30, 1000)) + 2)  # also g >= 1
+        first = gd // gn + 1  # the scan's first a, around 1/g
+        a_min = max(first, rng.choice((first, 2 * gd // gn)) + rng.randrange(-3, 30))
+        scale = rng.randrange(1, 4)  # the search passes the gap unreduced
+        bound = search._certain_work(gn * scale, gd * scale, 2, a_min, 0)
+        for thr_n, thr_d in ((0, 1), (gn * 10**6 - 1, gd * 10**6),
+                             (rng.randrange(gn * 1000), gd * 1000)):
+            for allow_equal in (False, True):
+                iters = linear_two_term_max_below(gn, gd, a_min, thr_n, thr_d, allow_equal)[5]
+                assert bound <= iters, (gn, gd, a_min, thr_n, thr_d, allow_equal)
+                tight += bound == iters
+    assert tight > 300
 
 
 def test_next_point_above_matches_oracle(budgets, rng):
