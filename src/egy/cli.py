@@ -33,7 +33,7 @@ def _add_global_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> N
                         help="CSV output where supported")
     parser.add_argument(
         "--node-budget", type=int, metavar="N", default=default(None),
-        help="solver node budget (default 10^7; env EGY_NODE_BUDGET)",
+        help="units each search may spend, one per node or loop step (default 10^7)",
     )
     parser.add_argument(
         "--threads", type=int, default=default(1), metavar="T",

@@ -39,27 +39,27 @@ def greedy_completion(
     return denoms, x - gap
 
 
-def _greedy_terms(x: Fraction, n: int, max_terms: int) -> tuple[list[int], Fraction]:
+def _greedy_terms(x: Fraction, n: int) -> tuple[list[int], Fraction]:
     """The first n greedy denominators of x > 0 and their exact sum."""
     if x <= 0:
         raise ValueError(f"greedy_underapprox() needs x > 0, got {x}")
     if n < 0:
         raise ValueError(f"greedy_underapprox() needs n >= 0, got {n}")
-    if n > max_terms:
-        raise ValueError(f"n={n} exceeds the term limit {max_terms}")
+    if n > DEFAULT_MAX_TERMS:
+        raise ValueError(f"n={n} exceeds the term limit {DEFAULT_MAX_TERMS}")
     return greedy_completion(Fraction(x), n)
 
 
-def greedy_underapprox(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> EgyptianRep:
+def greedy_underapprox(x: Fraction, n: int) -> EgyptianRep:
     """First n greedy denominators for x > 0."""
-    return EgyptianRep(tuple(_greedy_terms(x, n, max_terms)[0]))
+    return EgyptianRep(tuple(_greedy_terms(x, n)[0]))
 
 
-def greedy_value(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> Fraction:
+def greedy_value(x: Fraction, n: int) -> Fraction:
     """Exact value of the greedy n-term underapproximation of x > 0."""
-    return _greedy_terms(x, n, max_terms)[1]
+    return _greedy_terms(x, n)[1]
 
 
-def greedy_gap(x: Fraction, n: int, max_terms: int = DEFAULT_MAX_TERMS) -> Fraction:
+def greedy_gap(x: Fraction, n: int) -> Fraction:
     """x minus its greedy n-term value; strictly positive."""
-    return x - greedy_value(x, n, max_terms)
+    return x - greedy_value(x, n)

@@ -105,7 +105,7 @@ def chain_check(
         if n0 == 0:
             base_rep = EgyptianRep(())
         else:
-            base_rep = has_representation(values[0], n0, diffs[0].denominator - 1)
+            base_rep = has_representation(values[0], n0, diffs[0].denominator - 1, node_budget)
             if base_rep is None:
                 verdict = False
                 failure = n0
@@ -301,6 +301,8 @@ def cell_decay_bound(cell: Cell, i_max: int, slice_bound: str = "lemma") -> Deca
         raise ValueError("cell_decay_bound() needs a bounded cell")
     if slice_bound not in ("lemma", "exact"):
         raise ValueError(f"slice_bound must be 'lemma' or 'exact', got {slice_bound!r}")
+    if i_max < 1:
+        raise ValueError(f"cell_decay_bound() needs i_max >= 1, got {i_max}")
     length = cell.upper - cell.lower
     # smallest i0 with 1/i0 < length
     i0 = length.denominator // length.numerator + 1

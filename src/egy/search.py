@@ -14,21 +14,21 @@ Three engines:
   that work is certain to spend (``_certain_work``) and raises at once
   when the bound passes the budget left.
 
-* ``has_representation`` -- bounded exhaustive search for an exact j-term
-  representation, classic m <= j/remainder pruning.
+* ``has_representation`` -- exhaustive search on integer pairs for an
+  exact j-term representation, pruned by the densest completion.
 
 * ``next_point_above`` -- the smallest j-term Egyptian sum above a value,
   minimized over j <= n; this is the right endpoint of the partition cell
   whose left endpoint is the given value.
 
-Everything is deterministic and single-threaded.  A search returns the
-exact answer or raises ``ValueError`` (input outside its domain) or
-``NodeBudgetExceeded``; it never degrades to an approximate answer.
+Every search spends one unit of its ``node_budget`` per node and per
+loop step, and returns the exact answer or raises ``ValueError`` (input
+outside its domain) or ``NodeBudgetExceeded``; it never degrades to an
+approximate answer.  Everything is deterministic and single-threaded.
 """
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import gcd
 
@@ -57,16 +57,11 @@ class ShorterRepresentationError(ValueError):
         self.witness = witness
 
 
-def default_node_budget() -> int:
-    env = os.environ.get("EGY_NODE_BUDGET")
-    return int(env) if env else DEFAULT_NODE_BUDGET
-
-
 class _Budget:
     __slots__ = ("left",)
 
-    def __init__(self, limit: int):
-        self.left = limit
+    def __init__(self, limit: int | None):
+        self.left = DEFAULT_NODE_BUDGET if limit is None else limit
 
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
@@ -123,10 +118,7 @@ def _certain_work(gap_n: int, gap_d: int, r: int, m: int, limit: int) -> int:
 
 
 def best_underapprox(
-    x: Fraction,
-    n: int,
-    node_budget: int | None = None,
-    max_terms: int = DEFAULT_MAX_TERMS,
+    x: Fraction, n: int, node_budget: int | None = None
 ) -> tuple[Fraction, EgyptianRep]:
     """Maximum n-term Egyptian sum strictly below x, with its witness.
 
@@ -142,8 +134,8 @@ def best_underapprox(
         raise ValueError(f"best_underapprox() needs n >= 0, got {n}")
     if n == 0:
         return ZERO, EgyptianRep(())
-    if n > max_terms:
-        raise ValueError(f"n={n} exceeds the term limit {max_terms}")
+    if n > DEFAULT_MAX_TERMS:
+        raise ValueError(f"n={n} exceeds the term limit {DEFAULT_MAX_TERMS}")
     hn = harmonic(n)
     if x > hn:
         return hn, EgyptianRep(tuple(range(1, n + 1)))
@@ -151,7 +143,7 @@ def best_underapprox(
         m = _floor_recip(x) + 1
         return Fraction(1, m), EgyptianRep((m,))
 
-    budget = _Budget(node_budget if node_budget is not None else default_node_budget())
+    budget = _Budget(node_budget)
     inc_rep, inc_val = greedy_completion(x, n)
     # The incumbent vn/vd (reduced), x = xn/xd and every partial sum are
     # integer pairs compared by cross multiplication: this loop runs once
@@ -228,36 +220,41 @@ def best_underapprox(
 
 
 def has_representation(
-    q: Fraction, j: int, max_denom: int | None = None
+    q: Fraction, j: int, max_denom: int | None = None, node_budget: int | None = None
 ) -> EgyptianRep | None:
-    """A j-term representation of q with denominators <= max_denom, if any.
-
-    Exhaustive: at each step 1/m <= remainder forces m >= ceil(1/rem) and
-    the j' remaining terms must cover the remainder, so m <= j'/rem.
-    """
+    """The lexicographically smallest j-term representation of q with
+    denominators <= max_denom, or None if there is none."""
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"has_representation() needs q > 0, got {q}")
     if j < 1:
         raise ValueError(f"has_representation() needs j >= 1, got {j}")
+    found = _representation(q.numerator, q.denominator, j, 1, max_denom, _Budget(node_budget))
+    return None if found is None else EgyptianRep(tuple(found))
 
-    def rec(rem: Fraction, terms: int, m_lo: int) -> list[int] | None:
-        if terms == 0:
-            return [] if rem == 0 else None
-        if rem <= 0:
-            return None
-        lo = max(m_lo, -((-rem.denominator) // rem.numerator))
-        hi = (terms * rem.denominator) // rem.numerator
-        if max_denom is not None and hi > max_denom:
-            hi = max_denom
-        for m in range(lo, hi + 1):
-            sub = rec(rem - Fraction(1, m), terms - 1, m + 1)
-            if sub is not None:
-                return [m] + sub
-        return None
 
-    res = rec(q, j, 1)
-    return EgyptianRep(tuple(res)) if res is not None else None
+def _representation(
+    gn: int, gd: int, r: int, m: int, max_denom: int | None, budget: _Budget
+) -> list[int] | None:
+    """The smallest r increasing denominators from m up to max_denom whose
+    unit fractions sum to gn/gd > 0 (unreduced), or None."""
+    budget.spend()
+    if r == 1:  # the remainder must be 1/last; the loop's prune gives last >= m
+        last = gd // gn
+        fits = gd == last * gn and (max_denom is None or last <= max_denom)
+        return [last] if fits else None
+    m = max(m, gd // gn + 1)  # 1/m < remainder, as r - 1 more terms follow
+    rn, rd = _consecutive_run(m, r)
+    # stop once m, m+1, ... fall short of the remainder or pass max_denom
+    while rn * gd >= gn * rd and (max_denom is None or m + r - 1 <= max_denom):
+        rest = _representation(gn * m - gd, gd * m, r - 1, m + 1, max_denom, budget)
+        if rest is not None:
+            return [m] + rest
+        head = rd // m  # drop 1/m and add 1/(m+r), as in best_underapprox
+        rn, rd = (rn - head) // m * (m + r) + head, head * (m + r)
+        m += 1
+        budget.spend()
+    return None
 
 
 def _min_jterm_above(
@@ -314,9 +311,9 @@ def next_point_above(
     q must be an attainable best value at level n: it has an n-term
     representation and no shorter one (a value with a shorter representation
     is a limit from above of n-term sums and never a best value), and
-    check=True verifies that.  Its cell is at most 1/(n(n+1)) long, so the
-    answer lies in (q, q + 1/(n(n+1))]; no sum there, or q >= H_n, the
-    largest n-term sum, raises ValueError.
+    check=True verifies that, spending from the same budget.  Its cell is
+    at most 1/(n(n+1)) long, so the answer lies in (q, q + 1/(n(n+1))]; no
+    sum there, or q >= H_n, the largest n-term sum, raises ValueError.
     """
     q = Fraction(q)
     if q <= 0:
@@ -327,14 +324,14 @@ def next_point_above(
         raise ValueError(f"next_point_above() needs n >= 1, got {n}")
     if q >= harmonic(n):
         raise ValueError(f"next_point_above() needs q < H_{n} = {harmonic(n)}, got {q}")
+    budget = _Budget(node_budget)
     if check:
         for jj in range(1, n):
-            witness = has_representation(q, jj)
+            witness = _representation(q.numerator, q.denominator, jj, 1, None, budget)
             if witness is not None:
-                raise ShorterRepresentationError(q, jj, witness)
-        if has_representation(q, n) is None:
+                raise ShorterRepresentationError(q, jj, EgyptianRep(tuple(witness)))
+        if _representation(q.numerator, q.denominator, n, 1, None, budget) is None:
             raise ValueError(f"{q} has no {n}-term representation")
-    budget = _Budget(node_budget if node_budget is not None else default_node_budget())
     cutoff = q + Fraction(1, n * (n + 1))
     best: Fraction | None = None
     for j in range(1, n + 1):

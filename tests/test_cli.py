@@ -88,6 +88,13 @@ def test_decay(capsys):
     assert report["i0"] == 1001
 
 
+def test_decay_rejects_imax_below_one(capsys):
+    code, out, err = run(capsys, "decay", "1/3", "1/2", "2", "--imax", "-5")
+    assert code == 2
+    assert out == ""
+    assert "i_max >= 1" in err
+
+
 def test_sample_deterministic(capsys):
     code1, out1, _ = run(capsys, "sample", "1", "2", "--count", "20", "--seed", "5")
     code2, out2, _ = run(capsys, "--threads", "4", "sample", "1", "2", "--count", "20", "--seed", "5")

@@ -40,7 +40,6 @@ def test_rejects_negative_n_and_cap():
         greedy_underapprox(Fraction(1, 2), -1)
     with pytest.raises(ValueError):
         greedy_underapprox(Fraction(1, 2), DEFAULT_MAX_TERMS + 1)
-    assert greedy_underapprox(Fraction(1, 2), 13, max_terms=13)
 
 
 @given(positive_rationals, st.integers(min_value=0, max_value=6))
@@ -94,4 +93,3 @@ def test_value_and_gap_validate_arguments(call):
                  (Fraction(1, 2), DEFAULT_MAX_TERMS + 1)):
         with pytest.raises(ValueError):
             call(x, n)
-    assert call(Fraction(1, 2), 13, max_terms=13) > 0

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import random_rational
+from egy import search
 from egy.measure import (
     MeasureEnclosure,
     cell_decay_bound,
@@ -44,6 +45,23 @@ def test_chain_base_representation():
     if report.verdict:
         assert report.base_rep is not None
         assert report.base_rep.value() == Fraction(9, 20)
+
+
+def test_chain_base_search_spends_the_node_budget(monkeypatch):
+    # every node of the base representation search spends from one budget,
+    # which starts at the chain's node_budget
+    budgets = []
+    representation = search._representation
+
+    def recorded(*args):
+        budgets.append((args[-1], args[-1].left))
+        return representation(*args)
+
+    monkeypatch.setattr(search, "_representation", recorded)
+    report = chain_check(Fraction(11, 24), 2, 4, node_budget=12_345)
+    assert report.verdict and tuple(report.base_rep) == (4, 5)
+    assert budgets[0][1] == 12_345
+    assert len({id(budget) for budget, _ in budgets}) == 1
 
 
 def test_chain_preconditions():
@@ -143,6 +161,14 @@ def test_decay_exact_strategy_beats_lemma_on_small_range():
     assert exact.enclosure.upper <= lemma.enclosure.upper
     with pytest.raises(ValueError):
         cell_decay_bound(cell, 60, slice_bound="bogus")
+
+
+def test_decay_bound_rejects_imax_below_one():
+    cell = Cell(level=2, lower=Fraction(1, 3), upper=Fraction(1, 2), best_rep=None)
+    for imax in (0, -5):
+        with pytest.raises(ValueError, match="i_max >= 1"):
+            cell_decay_bound(cell, imax)
+    assert cell_decay_bound(cell, 1).note is not None  # vacuous, but valid
 
 
 def test_decay_real_cell():

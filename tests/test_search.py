@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_has_rep
 import oracle_min_above
 from conftest import random_rational
 from egy import search
@@ -160,6 +161,72 @@ def test_has_representation_rejects_bad_args():
         has_representation(Fraction(1, 2), 0)
 
 
+def test_has_representation_matches_oracle(rng):
+    # the same witness, or None, as the Fraction search with no budget; half
+    # the targets are sums of j unit fractions, so a witness exists, and
+    # either kind may exceed 1 (m = 1 allowed)
+    dens = {1: 1000, 2: 400, 3: 60, 4: 24}
+    calls = found = capped = above_one = 0
+    for _ in range(1300):
+        j = rng.randrange(1, 5)
+        if rng.random() < 0.5:
+            q = sum(Fraction(1, m) for m in rng.sample(range(1, dens[j] + 1), j))
+        else:
+            den = rng.randrange(1, dens[j] + 1)
+            q = Fraction(rng.randrange(1, 3 * den), den)
+        above_one += q > 1
+        witness = has_representation(q, j)
+        expected = oracle_has_rep.has_representation(q, j)
+        assert (None if witness is None else tuple(witness)) == expected, (q, j)
+        calls += 1
+        if witness is None:
+            caps = [rng.randrange(1, 2 * dens[j])]
+        else:
+            found += 1
+            # below the witness's largest denominator, at it and above it
+            top = max(witness)
+            caps = [top - 1, top, top + rng.randrange(1, 30)]
+        for max_denom in caps:
+            witness = has_representation(q, j, max_denom)
+            expected = oracle_has_rep.has_representation(q, j, max_denom)
+            assert (None if witness is None else tuple(witness)) == expected, (q, j, max_denom)
+            calls += 1
+            capped += witness is None and expected is None
+    assert calls >= 4000 and found > 700 and capped > 700 and above_one > 350
+
+
+def test_has_representation_budget_contract(budgets, rng):
+    # the units U an unlimited search spends are exactly enough: budget U
+    # gives the same witness (or None) and U - 1 raises
+    cases = [(Fraction(3, 1003), 2, None), (Fraction(1, 2), 2, None), (Fraction(1, 2), 2, 5),
+             (Fraction(9, 20), 2, 5), (Fraction(3, 2), 2, None), (Fraction(1), 4, None)]
+    for _ in range(40):
+        j = rng.randrange(1, 5)
+        q = random_rational(rng, max_den=(200, 200, 40, 12)[j - 1], hi=Fraction(5, 2))
+        cases.append((q, j, rng.choice((None, rng.randrange(1, 100)))))
+    unlimited = 10**7
+    for q, j, max_denom in cases:
+        budgets.clear()
+        result = has_representation(q, j, max_denom, node_budget=unlimited)
+        units = unlimited - budgets[0].left
+        assert has_representation(q, j, max_denom, node_budget=units) == result
+        with pytest.raises(NodeBudgetExceeded):
+            has_representation(q, j, max_denom, node_budget=units - 1)
+    # 3/1009 has no two-term representation: the root, then a node and a
+    # loop step for each first denominator m in (1009/3, 2018/3]
+    budgets.clear()
+    assert has_representation(Fraction(3, 1009), 2, node_budget=unlimited) is None
+    assert unlimited - budgets[0].left == 1 + 2 * (672 - 336)
+
+
+def test_has_representation_raises_within_its_budget():
+    # 3/1000003 has no two-term representation, and proving that takes about
+    # 667,000 units, two for each first denominator in (1000003/3, 2000006/3)
+    with _deadline(1.0):
+        with pytest.raises(NodeBudgetExceeded):
+            has_representation(Fraction(3, 1000003), 2, node_budget=10**5)
+
+
 def test_next_point_above_examples():
     assert next_point_above(Fraction(1, 2), 1) == 1
     assert next_point_above(Fraction(1, 3), 1) == Fraction(1, 2)
@@ -188,6 +255,29 @@ def test_next_point_above_rejects_values_without_a_next_point():
                 next_point_above(harmonic(n), n)
         with pytest.raises(ValueError, match="not a level-2 best value"):
             next_point_above(Fraction(1), 2, check=False)
+
+
+def test_next_point_above_checks_spend_its_budget(budgets, rng):
+    # with check=True a call spends its check=False units plus the units of
+    # its precondition searches, has_representation(q, j) for j = 1..n
+    unlimited = 10**7
+    for n, draws in ((1, 5), (2, 8), (3, 8), (4, 3)):
+        for _ in range(draws):
+            x = random_rational(rng, max_den=60, hi=harmonic(n))
+            q, _ = best_underapprox(x, n)
+            budgets.clear()
+            value = next_point_above(q, n, node_budget=unlimited, check=False)
+            search_units = unlimited - budgets[0].left
+            check_units = 0
+            for j in range(1, n + 1):
+                budgets.clear()
+                assert (has_representation(q, j, node_budget=unlimited) is None) == (j < n)
+                check_units += unlimited - budgets[0].left
+            budgets.clear()
+            assert next_point_above(q, n, node_budget=unlimited) == value
+            assert unlimited - budgets[0].left == search_units + check_units, (q, n)
+            with pytest.raises(NodeBudgetExceeded):
+                next_point_above(q, n, node_budget=check_units)
 
 
 def test_next_point_above_is_cell_right_endpoint(rng):
