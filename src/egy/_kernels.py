@@ -4,7 +4,12 @@ enumerations.
 Callers look these up as ``_kernels.<name>`` at call time.
 ``tests/test_kernels.py`` diffs the max-below scan against the plain linear
 scan kept in ``tests/oracle_max_below.py``, and the enumerations against
-naive loops.
+naive loops and the dict-and-sort enumeration in ``tests/oracle_lemma1.py``.
+
+The enumerations are generators: ``iter_min_competitors`` and
+``iter_direct_terms`` yield as they go and hold O(i) state for their
+O(i^2) pairs or terms.  ``two_term_min_competitors`` and
+``direct_mode_terms`` are the same as lists, for callers that need one.
 
 All arithmetic is on plain Python ints; fractions are carried as unreduced
 (num, den) pairs and compared by cross multiplication.
@@ -12,6 +17,7 @@ All arithmetic is on plain Python ints; fractions are carried as unreduced
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heapreplace
 from math import isqrt
 
 BACKEND = "python"  # the one implementation; benchmark runs record it
@@ -114,54 +120,97 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     return (found, bn, bd, res_a, res_b, a - a0 + 1)
 
 
-def two_term_min_competitors(i):
+def _b_range(i, a):
+    """The b > a with 1/a + 1/b in (1/i, 1/(i-1)], as lo..hi (maybe empty)."""
+    # 1/b <= 1/(i-1) - 1/a  =>  b >= a(i-1)/(a-i+1)
+    lo = -(-a * (i - 1) // (a - i + 1))
+    if lo <= a:
+        lo = a + 1
+    # 1/b > 1/i - 1/a  =>  b < ai/(a-i)
+    return lo, (a * i - 1) // (a - i)
+
+
+def competitor_pairs(i, limit):
+    """The number of pairs (a, b) that ``iter_min_competitors(i)`` visits.
+
+    Closed form per a; the count stops growing once it passes limit, so it
+    is exact up to limit and a lower bound beyond.
+    """
+    count = 0
+    for a in range(i + 1, 2 * i):
+        lo, hi = _b_range(i, a)
+        if lo <= hi:
+            count += hi - lo + 1
+            if count > limit:
+                break
+    return count
+
+
+def iter_min_competitors(i):
     """Per greedy cell, the smallest two-term sum that can beat greedy.
 
     Enumerates every s = 1/a + 1/b with i < a < b and s in
     (1/i, 1/(i-1)]: a < 2i is forced by 2/a > s > 1/i, and for each a the
     window of b follows from the two endpoint constraints.  Each s lands in
     the greedy cell (1/i + 1/j, 1/i + 1/(j-1)] with
-    j = floor(1/(s - 1/i)) + 1; the minimum per cell is kept.
+    j = floor(1/(s - 1/i)) + 1, and the minimum per cell is kept.
 
-    Returns a list of (j, s_num, s_den) sorted by j, s unreduced.
+    Yields (j, s_num, s_den) in increasing j, s unreduced; of equal sums
+    the one with the smallest a.  For fixed a the gap g(b) = s - 1/i is
+    below 1/b, so from b to b+1 it falls by 1/(b(b+1)) > g(b) g(b+1):
+    1/g grows by more than one and j strictly increases with b.  The ~i
+    streams of b, one per a, are merged on a heap keyed by (j, a): the
+    state is O(i) for the O(i^2) pairs visited.
     """
     if i < 2:
         raise ValueError(f"need i >= 2, got {i}")
-    mins = {}
+    heap = []
     for a in range(i + 1, 2 * i):
-        # 1/b <= 1/(i-1) - 1/a  =>  b >= a(i-1)/(a-i+1)
-        lo_num = a * (i - 1)
-        lo = -(-lo_num // (a - i + 1))
-        if lo <= a:
-            lo = a + 1
-        # 1/b > 1/i - 1/a  =>  b < ai/(a-i)
-        hi = (a * i - 1) // (a - i)
-        for b in range(lo, hi + 1):
-            sn = a + b
-            sd = a * b
-            gap_den = i * sn - sd  # > 0 since s > 1/i
-            j = (i * sd) // gap_den + 1
-            cur = mins.get(j)
-            if cur is None or sn * cur[1] < cur[0] * sd:
-                mins[j] = (sn, sd)
-    return [(j, nd[0], nd[1]) for j, nd in sorted(mins.items())]
+        lo, hi = _b_range(i, a)
+        if lo <= hi:
+            # s - 1/i = gap / (i a b) with gap = i(a + b) - ab > 0
+            heap.append(((i * a * lo) // (i * (a + lo) - a * lo) + 1, a, lo, hi))
+    heapify(heap)
+    cell = best_n = best_d = None
+    while heap:
+        j, a, b, hi = heap[0]
+        sn, sd = a + b, a * b
+        if j != cell:
+            if cell is not None:
+                yield cell, best_n, best_d
+            cell, best_n, best_d = j, sn, sd
+        elif sn * best_d < best_n * sd:
+            best_n, best_d = sn, sd
+        if b < hi:
+            b += 1
+            sd += a
+            heapreplace(heap, ((i * sd) // (i * (sn + 1) - sd) + 1, a, b, hi))
+        else:
+            heappop(heap)
+    if cell is not None:
+        yield cell, best_n, best_d
 
 
-def direct_mode_terms(i):
+def two_term_min_competitors(i):
+    """``iter_min_competitors(i)`` as a list."""
+    return list(iter_min_competitors(i))
+
+
+def iter_direct_terms(i):
     """Right-part interval lengths 1/floor(x_k) - 1/x_k for all k.
 
     x_k = N(N+2k)/(N-2k) with N = i(i+1), k = 0..floor(N/10).  Verifies the
     spacing x_{k+1} - x_k > 1 (so the floors are pairwise distinct) and
-    x_k >= N (so every interval sits inside (1/i, 1/(i-1)]).  Integer x_k
-    contribute an empty right part and are skipped.
+    x_k >= N (so every interval sits inside (1/i, 1/(i-1)]) as it goes,
+    raising at the first k that fails.  Integer x_k contribute an empty
+    right part and are skipped.
 
-    Returns a list of (floor_xk, term_num, term_den), terms unreduced.
+    Yields (floor_xk, term_num, term_den) in increasing k, terms unreduced.
     """
     if i < 2:
         raise ValueError(f"need i >= 2, got {i}")
     big = i * (i + 1)
     kmax = big // 10
-    terms = []
     prev_p = prev_q = 0
     for k in range(kmax + 1):
         q = big - 2 * k
@@ -173,6 +222,10 @@ def direct_mode_terms(i):
         f = p // q
         if f * q != p:
             # 1/f - 1/x_k = (x_k - f)/(f x_k) = (p - f q)/(f p)
-            terms.append((f, p - f * q, f * p))
+            yield f, p - f * q, f * p
         prev_p, prev_q = p, q
-    return terms
+
+
+def direct_mode_terms(i):
+    """``iter_direct_terms(i)`` as a list."""
+    return list(iter_direct_terms(i))

@@ -33,7 +33,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> N
                         help="CSV output where supported")
     parser.add_argument(
         "--node-budget", type=int, metavar="N", default=default(None),
-        help="units each search may spend, one per node or loop step (default 10^7)",
+        help="units each search or certificate may spend: one per search node or "
+        "loop step, one per certificate term or competitor pair (default 10^7)",
     )
     parser.add_argument(
         "--threads", type=int, default=default(1), metavar="T",
@@ -146,12 +147,12 @@ def _run(args: argparse.Namespace) -> tuple[str, str]:
         report = chain_check(parse_rational(args.x), args.n0, args.t, node_budget=budget)
         return json.dumps(report.to_dict()), ""
     if args.command == "lemma1":
-        report = lemma1_certificate(args.i, args.mode)
+        report = lemma1_certificate(args.i, args.mode, budget)
         return json.dumps(report.to_dict()), ""
     if args.command == "nongreedy":
         from fractions import Fraction
 
-        measure = nongreedy_two_term_measure(args.i)
+        measure = nongreedy_two_term_measure(args.i, budget)
         interval = Fraction(1, (args.i - 1) * args.i)
         out = {
             "i": args.i,
@@ -167,7 +168,7 @@ def _run(args: argparse.Namespace) -> tuple[str, str]:
             upper=parse_rational(args.r),
             best_rep=None,
         )
-        report = cell_decay_bound(cell, args.imax, args.slice_bound)
+        report = cell_decay_bound(cell, args.imax, args.slice_bound, budget)
         return json.dumps(report.to_dict()), ""
     if args.command == "sample":
         report = sample_chain_density(

@@ -14,10 +14,14 @@ its measure are provided:
 * ``exact``  -- full competitor enumeration: the exact measure of N_i.
 
 All arithmetic is exact and on integers: each check is a cross-multiplied
-inequality on x_k = p/q, each mode's terms go as reduced (num, den) pairs
-into the summation tree of ``egy.rational``, and the certified measure
-becomes a ``Fraction`` once, at the end.  Any verification failure raises
-CertificateError naming the violated inequality and its witness.
+inequality on x_k = p/q, each mode's terms stream as reduced (num, den)
+pairs into the summation stack of ``egy.rational`` as they are produced,
+and the certified measure becomes a ``Fraction`` once, at the end.  No
+mode holds its terms or competitors in a list: a certificate keeps O(i)
+state besides its result.  Any verification failure raises
+CertificateError naming the violated inequality and its witness, at the
+term where it happens.  The enumerations are charged to the node budget,
+in closed form, before they start.
 """
 
 from __future__ import annotations
@@ -25,9 +29,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import Iterable, Iterator
 
 from . import _kernels
 from .rational import format_rational, sum_pairs
+from .search import NodeBudgetExceeded, _Budget
 
 _PERMILLE = Fraction(1, 1000)
 
@@ -77,23 +83,50 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _paper_terms(i: int) -> list[tuple[int, int]]:
+def _charge(need: int, left: int, what: str) -> None:
+    """Charge need units, counted before the enumeration they pay for runs:
+    raise ``NodeBudgetExceeded`` when they pass the budget left."""
+    if need > left:
+        raise NodeBudgetExceeded(
+            f"node budget exhausted: {what} needs at least {need} more units, {left} left"
+        )
+
+
+def charge_exact_slices(slices: Iterable[int], node_budget: int | None, what: str) -> None:
+    """Charge one unit per competitor pair (a, b) the exact measures of
+    these slices enumerate, summed over all of them before any runs.  The
+    count is closed form per a and stops once it passes the budget."""
+    left = _Budget(node_budget).left
+    need = 0
+    for i in slices:
+        need += _kernels.competitor_pairs(i, left - need)
+        if need > left:
+            break
+    _charge(need, left, what)
+
+
+def _paper_range(i: int) -> tuple[int, int]:
+    """The l of the paper certificate: ceil(N/100) .. floor(3N/200)."""
+    big = i * (i + 1)
+    return -((-big) // 100), (3 * big) // 200
+
+
+def _paper_terms(i: int) -> Iterator[tuple[int, int]]:
     """The selected right parts of the paper certificate, as reduced pairs.
 
     For each l in [ceil(N/100), floor(3N/200)] one of x_2l, x_2l+1 is
-    picked and checked.  Like ``_kernels.direct_mode_terms`` it works on
+    picked and checked, and its right part is yielded before the next l
+    is looked at.  Like ``_kernels.iter_direct_terms`` it works on
     x_k = p/q with p = N(N + 2k), q = N - 2k and cross multiplies every
     inequality, so a ``Fraction`` is built only for a failing witness.
     """
     big = i * (i + 1)
-    lo = -((-big) // 100)  # ceil(N/100)
-    hi = (3 * big) // 200
+    lo, hi = _paper_range(i)
     count = hi - lo + 1
     if 200 * count < i * i:
         raise CertificateError(f"|L| = {count} < i^2/200 at i={i}")
     cap = 6 * i * i          # x_k < 6i^2/5  <=>  5p < 6i^2 q
     floor_bound = 108 * i**4  # right part > 25/(108 i^4)
-    terms = []
     prev_cell = 0
     for l in range(lo, hi + 1):
         q_even = big - 4 * l
@@ -131,68 +164,89 @@ def _paper_terms(i: int) -> list[tuple[int, int]]:
             raise CertificateError(
                 f"right part {Fraction(num, den)} <= 25/(108 i^4) at i={i}, k={k}"
             )
-        terms.append(_reduced(num, den))
-    return terms
+        yield _reduced(num, den)
 
 
 def _paper_certificate(i: int) -> tuple[Fraction, int]:
-    if i < 1000:
-        raise ValueError(f"paper mode needs i >= 1000, got {i}")
-    terms = _paper_terms(i)
-    total = sum_pairs(terms)
+    total = sum_pairs(_paper_terms(i))
     if total.numerator * 1000 * (i - 1) * i <= total.denominator:
         raise CertificateError(f"certified total {total} below 1 permille at i={i}")
-    return total, len(terms)
+    lo, hi = _paper_range(i)
+    return total, hi - lo + 1  # one term per l, or a CertificateError
 
 
 def _direct_certificate(i: int) -> tuple[Fraction, int]:
-    terms = _kernels.direct_mode_terms(i)
-    return sum_pairs(_reduced(num, den) for _, num, den in terms), len(terms)
+    count = 0
+
+    def terms() -> Iterator[tuple[int, int]]:
+        nonlocal count
+        for _, num, den in _kernels.iter_direct_terms(i):
+            count += 1
+            yield _reduced(num, den)
+
+    return sum_pairs(terms()), count
 
 
-def nongreedy_two_term_measure(i: int) -> Fraction:
+def nongreedy_two_term_measure(i: int, node_budget: int | None = None) -> Fraction:
     """Exact measure of the non-greedy set N_i in (1/i, 1/(i-1)].
 
     Competitors 1/a + 1/b need i < a < b (a <= i is dominated by the greedy
     choice, a >= 2i makes the sum too small) and land in the greedy cell
     C_j; everything in C_j above the cell's minimal competitor is non-greedy.
     A competitor equal to the cell's left endpoint ties greedy and
-    contributes nothing (its cell part is empty).
+    contributes nothing (its cell part is empty).  Spends one unit of
+    node_budget per enumerated pair (a, b).
     """
     if i < 2:
         raise ValueError(f"nongreedy_two_term_measure() needs i >= 2, got {i}")
-    return _measure_above_competitors(i, _kernels.two_term_min_competitors(i))
+    charge_exact_slices((i,), node_budget, f"the exact measure at i={i}")
+    return _measure_above_competitors(i)[0]
 
 
-def _measure_above_competitors(i: int, competitors: list[tuple[int, int, int]]) -> Fraction:
+def _measure_above_competitors(i: int) -> tuple[Fraction, int]:
     """Measure of the parts of the greedy cells above their minimal
-    competitors, as listed by ``two_term_min_competitors(i)``."""
-    parts = []
-    for j, s_num, s_den in competitors:
-        # 1/i + 1/(j-1) - s_num/s_den over the common denominator i(j-1) s_den
-        right_den = i * (j - 1)
-        num = (i + j - 1) * s_den - s_num * right_den
-        if num > 0:
-            parts.append(_reduced(num, right_den * s_den))
-    return sum_pairs(parts)
+    competitors, as streamed by ``iter_min_competitors(i)``, and the
+    number of cells."""
+    cells = 0
+
+    def parts() -> Iterator[tuple[int, int]]:
+        nonlocal cells
+        for j, s_num, s_den in _kernels.iter_min_competitors(i):
+            cells += 1
+            # 1/i + 1/(j-1) - s_num/s_den over the common denominator i(j-1) s_den
+            right_den = i * (j - 1)
+            num = (i + j - 1) * s_den - s_num * right_den
+            if num > 0:
+                yield _reduced(num, right_den * s_den)
+
+    return sum_pairs(parts()), cells
 
 
-def _exact_certificate(i: int) -> tuple[Fraction, int]:
-    competitors = _kernels.two_term_min_competitors(i)
-    return _measure_above_competitors(i, competitors), len(competitors)
+def lemma1_certificate(i: int, mode: str = "paper", node_budget: int | None = None) -> Lemma1Report:
+    """The mode's certified lower bound on the measure of N_i.
 
-
-def lemma1_certificate(i: int, mode: str = "paper") -> Lemma1Report:
+    Spends one unit of node_budget per l (paper), per k (direct) or per
+    enumerated pair (a, b) (exact).  The counts are closed form and are
+    charged before the enumeration starts, which holds O(i) state.
+    """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if i < 2:
         raise ValueError(f"lemma1_certificate() needs i >= 2, got {i}")
+    what = f"the {mode} certificate at i={i}"
+    left = _Budget(node_budget).left
     if mode == "paper":
+        if i < 1000:
+            raise ValueError(f"paper mode needs i >= 1000, got {i}")
+        lo, hi = _paper_range(i)
+        _charge(hi - lo + 1, left, what)
         measure, selected = _paper_certificate(i)
     elif mode == "direct":
+        _charge(i * (i + 1) // 10 + 1, left, what)
         measure, selected = _direct_certificate(i)
     else:
-        measure, selected = _exact_certificate(i)
+        charge_exact_slices((i,), node_budget, what)
+        measure, selected = _measure_above_competitors(i)
     interval = Fraction(1, (i - 1) * i)
     if not 0 <= measure <= interval:
         raise CertificateError(

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lemma1 import nongreedy_two_term_measure
+from .lemma1 import charge_exact_slices, nongreedy_two_term_measure
 from .partition import Cell
 from .rational import ZERO, ONE, EgyptianRep, format_rational, harmonic, sum_exact
 from .search import ResourceLimitError, best_underapprox, has_representation
@@ -280,7 +280,9 @@ class DecayReport:
         }
 
 
-def cell_decay_bound(cell: Cell, i_max: int, slice_bound: str = "lemma") -> DecayReport:
+def cell_decay_bound(
+    cell: Cell, i_max: int, slice_bound: str = "lemma", node_budget: int | None = None
+) -> DecayReport:
     """Upper enclosure on the chain survivors of a bounded cell (q, r].
 
     Survivors through two more levels must, within each slice
@@ -296,6 +298,8 @@ def cell_decay_bound(cell: Cell, i_max: int, slice_bound: str = "lemma") -> Deca
     enumeration per slice (only viable for small i ranges); "lemma" uses the
     verified one-permille lower bound for slices with i >= 1000 (and nothing
     below), which telescopes to a closed form and scales to i_max ~ 10^7.
+    "exact" spends one unit of node_budget per competitor pair, counted
+    over every slice before the first one is enumerated.
     """
     if cell.upper is None:
         raise ValueError("cell_decay_bound() needs a bounded cell")
@@ -314,9 +318,12 @@ def cell_decay_bound(cell: Cell, i_max: int, slice_bound: str = "lemma") -> Deca
         exceptional = length - Fraction(1, i0)
         slices_total = Fraction(1, i0) - Fraction(1, i_max)  # sum of |I_i|
         if slice_bound == "exact":
-            certified = sum_exact(
-                nongreedy_two_term_measure(i) for i in range(i0 + 1, i_max + 1)
+            slices = range(i0 + 1, i_max + 1)
+            charge_exact_slices(
+                slices, node_budget, f"the exact slice bound over i = {i0 + 1}..{i_max}"
             )
+            # each slice needs at most what all of them need, so none raises
+            certified = sum_exact(nongreedy_two_term_measure(i, node_budget) for i in slices)
         else:
             start = max(i0 + 1, 1000)
             if start <= i_max:

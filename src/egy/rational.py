@@ -5,9 +5,9 @@ no floating point anywhere.  This module adds the handful of primitives the
 rest of the code is built on: harmonic numbers, the representation type for
 sums of distinct unit fractions, string (de)serialization in ``p/q`` form,
 and the one exact summation path: a balanced tree over reduced integer
-(num, den) pairs, which the certificate modules feed directly with up to a
-few hundred thousand terms, and which ``sum_exact`` adapts to ``Fraction``
-values.
+(num, den) pairs, built on a stack of O(log n) partial sums as the pairs
+stream in.  The certificate modules feed it generators of up to about a
+million terms, and ``sum_exact`` adapts it to ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import decimal
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -39,40 +40,55 @@ def parse_rational(text: str) -> Fraction:
 # str() is used as is; longer ints go through decimal, whose multiplication
 # is subquadratic, without touching that global limit.
 _STR_BITS = 13_000  # 2^13000 has 3914 digits
-_DEC_BITS = 128     # leaves of the decimal conversion
+_LEAF_BITS = 4096   # the widest leaf of the decimal conversion
 
 
-def _int_to_str(n: int) -> str:
-    """Decimal digits of n, also past the interpreter's int-to-str limit."""
-    bits = abs(n).bit_length()
-    if bits <= _STR_BITS:
-        return str(n)
+def _long_int_strs(values: Sequence[int]) -> list[str]:
+    """Decimal digits of each int, also past the interpreter's int-to-str limit.
+
+    The longest value fixes a tree of 2^k leaves of one width, at most
+    _LEAF_BITS, that covers its bits.  Every int longer than _STR_BITS
+    converts on that tree, splitting each width into two equal halves, so
+    all of them share one table of the Decimal powers 2^(leaf * 2^j).
+    """
+    leaf, levels = max(abs(v).bit_length() for v in values), 0
+    while leaf > _LEAF_BITS:
+        leaf = (leaf + 1) >> 1
+        levels += 1
     powers: dict[int, decimal.Decimal] = {}
 
     def pow2(w: int) -> decimal.Decimal:
         if w not in powers:
-            if w <= _DEC_BITS:
+            if w == leaf:
                 powers[w] = decimal.Decimal(1 << w)
             else:
-                half = w >> 1
-                powers[w] = pow2(half) * pow2(w - half)
+                half = pow2(w >> 1)
+                powers[w] = half * half
         return powers[w]
 
     def convert(m: int, w: int) -> decimal.Decimal:
         # m < 2^w: split off the low half of the bits, convert both halves
         # and join them as hi * 2^half + lo in exact decimal arithmetic
-        if w <= _DEC_BITS:
+        while w > leaf and m.bit_length() <= w >> 1:
+            w >>= 1
+        if w == leaf:
             return decimal.Decimal(m)
         half = w >> 1
         hi = m >> half
-        return convert(hi, w - half) * pow2(half) + convert(m - (hi << half), half)
+        return convert(hi, half) * pow2(half) + convert(m - (hi << half), half)
 
+    out = []
     with decimal.localcontext() as ctx:
         ctx.prec = decimal.MAX_PREC
         ctx.Emax = decimal.MAX_EMAX
         ctx.traps[decimal.Inexact] = True
-        digits = str(convert(abs(n), bits))
-    return "-" + digits if n < 0 else digits
+        for v in values:
+            if abs(v).bit_length() <= _STR_BITS:
+                out.append(str(v))
+            else:
+                digits = str(convert(abs(v), leaf << levels))
+                out.append("-" + digits if v < 0 else digits)
+    return out
 
 
 def format_rational(value: Fraction) -> str:
@@ -81,9 +97,10 @@ def format_rational(value: Fraction) -> str:
     Works for rationals of millions of digits, whatever the interpreter's
     int-to-str digit limit, and leaves that limit alone.
     """
-    if value.denominator == 1:
-        return _int_to_str(value.numerator)
-    return f"{_int_to_str(value.numerator)}/{_int_to_str(value.denominator)}"
+    num, den = value.numerator, value.denominator
+    if max(num, -num, den).bit_length() <= _STR_BITS:
+        return str(num) if den == 1 else f"{num}/{den}"
+    return "/".join(_long_int_strs((num,) if den == 1 else (num, den)))
 
 
 @lru_cache(maxsize=64)  # every search call asks for H_n at its level
@@ -149,24 +166,51 @@ def _add_reduced(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     return t // g2, s * (bd // g2)
 
 
+_CHUNK = 1024  # pairs folded level by level before they join the stack
+
+
 def sum_pairs(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of reduced (num, den) pairs with den > 0.
+    """Exact sum of reduced (num, den) pairs with den > 0, from any iterable.
 
     Neighbours are merged level by level, so huge denominators multiply at
     log depth; sequential addition is quadratic in the size of the running
-    denominator, which matters for the Lemma-1 sums.  Every merge keeps its
-    sum reduced, so the result becomes a ``Fraction`` without another gcd.
+    denominator, which matters for the Lemma-1 sums.  The pairs are read
+    in chunks of ``_CHUNK``; each chunk's sum goes on a binary-counter
+    stack, where two sums of equally many chunks merge at once.  So the
+    stack holds O(log n) partial sums, and a stream of pairs is never
+    held whole.  Every merge keeps its sum reduced, so the result becomes
+    a ``Fraction`` without another gcd.
     """
-    items = list(pairs)
-    if not items:
-        return ZERO
+    it = iter(pairs)
+    items = list(islice(it, _CHUNK))
+    if len(items) < _CHUNK:  # one chunk holds it all, as in most calls
+        return _from_reduced(*_fold(items)) if items else ZERO
+    stack: list[tuple[int, int, int]] = []  # (chunks summed, num, den)
+    while items:
+        size, (num, den) = 1, _fold(items)
+        while stack and stack[-1][0] == size:
+            _, an, ad = stack.pop()
+            num, den = _add_reduced(an, ad, num, den)
+            size *= 2
+        stack.append((size, num, den))
+        items = list(islice(it, _CHUNK))
+    _, num, den = stack.pop()
+    while stack:
+        _, an, ad = stack.pop()
+        num, den = _add_reduced(an, ad, num, den)
+    return _from_reduced(num, den)
+
+
+def _fold(items: list[tuple[int, int]]) -> tuple[int, int]:
+    """The sum of a nonempty list of reduced pairs, merging neighbours
+    level by level."""
     while len(items) > 1:
         it = iter(items)
         nxt = [_add_reduced(an, ad, bn, bd) for (an, ad), (bn, bd) in zip(it, it)]
         if len(items) % 2:
             nxt.append(items[-1])
         items = nxt
-    return _from_reduced(*items[0])
+    return items[0]
 
 
 def _from_reduced(num: int, den: int) -> Fraction:

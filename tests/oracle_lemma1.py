@@ -4,9 +4,11 @@ oracle of the integer versions in ``egy.lemma1`` and ``egy.rational``.
 These are the original implementations, unchanged but for their names:
 the paper loop builds every x_k as a ``Fraction`` and checks each
 inequality on ``Fraction`` values, the exact measure adds ``Fraction``
-parts, and ``fraction_sum`` is the pairwise ``Fraction`` summation.
-``tests/test_lemma1.py`` diffs the integer code against them, value for
-value and error message for error message.
+parts, ``fraction_sum`` is the pairwise ``Fraction`` summation, and
+``min_competitors`` collects every competitor pair in a dict and sorts
+it.  ``tests/test_lemma1.py`` and ``tests/test_kernels.py`` diff the
+integer and streaming code against them, value for value and error
+message for error message.
 """
 
 from fractions import Fraction
@@ -101,6 +103,38 @@ def direct_certificate(i):
     return fraction_sum(Fraction(num, den) for _, num, den in terms), len(terms)
 
 
+def min_competitors(i):
+    """(j, s_num, s_den) per greedy cell j, sorted by j: the smallest
+    competitor s = 1/a + 1/b of each cell, the first in a-order on ties."""
+    if i < 2:
+        raise ValueError(f"need i >= 2, got {i}")
+    mins = {}
+    for a in range(i + 1, 2 * i):
+        # 1/b <= 1/(i-1) - 1/a  =>  b >= a(i-1)/(a-i+1)
+        lo_num = a * (i - 1)
+        lo = -(-lo_num // (a - i + 1))
+        if lo <= a:
+            lo = a + 1
+        # 1/b > 1/i - 1/a  =>  b < ai/(a-i)
+        hi = (a * i - 1) // (a - i)
+        for b in range(lo, hi + 1):
+            sn = a + b
+            sd = a * b
+            gap_den = i * sn - sd  # > 0 since s > 1/i
+            j = (i * sd) // gap_den + 1
+            cur = mins.get(j)
+            if cur is None or sn * cur[1] < cur[0] * sd:
+                mins[j] = (sn, sd)
+    return [(j, nd[0], nd[1]) for j, nd in sorted(mins.items())]
+
+
+def pair_count(i):
+    """Every competitor pair by brute force: i < a < b with
+    1/i < 1/a + 1/b <= 1/(i-1), where b < ai/(a-i) <= i(i+1)."""
+    return sum(1 for a in range(i + 1, 2 * i) for b in range(a + 1, i * (i + 1))
+               if i * (a + b) > a * b and (i - 1) * (a + b) <= a * b)
+
+
 def measure_above_competitors(i, competitors):
     inv_i = Fraction(1, i)
     parts = []
@@ -114,4 +148,4 @@ def measure_above_competitors(i, competitors):
 
 def nongreedy_measure(i):
     """Exact measure of the non-greedy set N_i."""
-    return measure_above_competitors(i, _kernels.two_term_min_competitors(i))
+    return measure_above_competitors(i, min_competitors(i))

@@ -116,6 +116,35 @@ def test_budget_exhausted_exit_3(capsys):
     assert "budget" in err
 
 
+CERTIFICATE_COMMANDS = [
+    ("lemma1", "1000", "--mode", "paper"),
+    ("lemma1", "1000", "--mode", "direct"),
+    ("lemma1", "1000", "--mode", "exact"),
+    ("nongreedy", "1000"),
+    ("decay", "1/3", "23/60", "2", "--imax", "26", "--slice-bound", "exact"),
+]
+
+
+@pytest.mark.parametrize("argv", CERTIFICATE_COMMANDS, ids=" ".join)
+def test_certificate_budget_exhausted_exit_3(capsys, argv):
+    code, out, err = run(capsys, "--node-budget", "10", *argv)
+    assert code == 3
+    assert out == ""
+    assert "needs at least" in err and "10 left" in err
+
+
+@pytest.mark.parametrize("argv", [("nongreedy", "100000"), ("lemma1", "100000", "--mode", "direct")],
+                         ids=" ".join)
+def test_huge_certificate_exits_3_fast(argv):
+    # about 10^10 competitor pairs, or 10^9 terms, against the default budget
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "egy", *argv],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == "" and "needs at least" in proc.stderr
+
+
 def test_bad_subcommand_exit_2(capsys):
     with pytest.raises(SystemExit) as info:
         main(["frobnicate", "1", "2"])

@@ -1,6 +1,9 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+import oracle_lemma1
 from egy import _kernels
 from oracle_max_below import linear_two_term_max_below
 
@@ -166,11 +169,33 @@ def test_min_competitors_against_naive():
 
 
 
+@pytest.mark.parametrize("i_values", [range(2, 201), (257, 400, 613)],
+                         ids=["2-200", "257-400-613"])
+def test_streamed_competitors_match_dict_oracle(i_values):
+    # the heap merge against the dict-and-sort enumeration, tuple for tuple:
+    # same cells, same unreduced sums, the smallest a on equal sums
+    for i in i_values:
+        stream = _kernels.iter_min_competitors(i)
+        assert iter(stream) is stream  # a generator, not a list
+        assert list(stream) == oracle_lemma1.min_competitors(i), i
+
+
+def test_competitor_pairs_counts_the_enumeration():
+    for i in list(range(2, 25)) + [40, 61]:
+        total = oracle_lemma1.pair_count(i)
+        assert _kernels.competitor_pairs(i, 10**9) == total, i
+        # counting stops once it passes the limit: a lower bound past it
+        for limit in (0, total // 3, total - 1, total):
+            got = _kernels.competitor_pairs(i, limit)
+            assert got == total if total <= limit else limit < got <= total, (i, limit)
+
+
 def test_direct_terms_match_xk():
     from egy.lemma1 import xk
 
     i = 37
     terms = _kernels.direct_mode_terms(i)
+    assert terms == list(_kernels.iter_direct_terms(i))
     expected = []
     for k in range(i * (i + 1) // 10 + 1):
         x = xk(i, k)

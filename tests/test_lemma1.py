@@ -1,4 +1,6 @@
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from egy.lemma1 import (
     xk,
 )
 from egy.partition import Cell
-from egy.search import best_underapprox
+from egy.search import NodeBudgetExceeded, best_underapprox
 from oracle_bruteforce import brute_two_term_nongreedy
 
 
@@ -191,6 +193,9 @@ def test_paper_checks_match_oracle_below_1000():
         expected = _paper_outcome(oracle_lemma1.paper_lengths, i)
         assert _paper_outcome(integer_lengths, i) == expected, i
         outcomes.add(expected[1].split(" ")[0] if expected[0] == "error" else "ok")
+        # streamed into the sum, the checks raise at the same term
+        assert _paper_outcome(lemma1._paper_certificate, i) == (
+            _paper_outcome(oracle_lemma1.paper_certificate, i)), i
     assert outcomes == {"ok", "|L|", "x_k"}
 
 
@@ -218,8 +223,71 @@ def test_decay_exact_slices_match_fraction_oracle(monkeypatch, lower, upper, lev
     cell = Cell(level=level, lower=lower, upper=upper, best_rep=None)
     report = measure.cell_decay_bound(cell, i_max, slice_bound="exact")
     monkeypatch.setattr(measure, "sum_exact", oracle_lemma1.fraction_sum)
-    monkeypatch.setattr(measure, "nongreedy_two_term_measure", oracle_lemma1.nongreedy_measure)
+    monkeypatch.setattr(measure, "nongreedy_two_term_measure",
+                        lambda i, node_budget=None: oracle_lemma1.nongreedy_measure(i))
     expected = measure.cell_decay_bound(cell, i_max, slice_bound="exact")
     assert report.to_dict() == expected.to_dict()
     assert report.enclosure == expected.enclosure
     assert report.note is None  # i_max > i0, so the slices were summed
+
+
+# -- memory: O(i) state plus the result ---------------------------------
+
+
+@pytest.mark.parametrize("i, mode, limit_mb", [
+    (150, "exact", 1.0), (400, "direct", 1.0), (2048, "paper", 1.5),
+])
+def test_certificate_peak_memory(i, mode, limit_mb):
+    # a list of every competitor or term took 5-8 MB at these i
+    lemma1_certificate(20, mode if mode != "paper" else "direct")  # warm imports
+    tracemalloc.start()
+    try:
+        report = lemma1_certificate(i, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.passed
+    assert peak < limit_mb * 1e6, peak
+
+
+# -- the node budget: one unit per l, k or competitor pair ----------------
+
+
+def _contract(run, units):
+    # U units are exactly enough: budget U gives the unlimited result, U - 1 raises
+    expected = run(None)
+    assert run(units) == expected
+    with pytest.raises(NodeBudgetExceeded, match=f"needs at least {units} more units, {units - 1} left"):
+        run(units - 1)
+
+
+def test_certificate_budget_contract():
+    big = 1000 * 1001
+    paper_units = (3 * big) // 200 - -(-big // 100) + 1  # one per l
+    _contract(lambda nb: lemma1_certificate(1000, "paper", nb), paper_units)
+    for i in (2, 7, 30):
+        pairs = oracle_lemma1.pair_count(i)
+        _contract(lambda nb: lemma1_certificate(i, "direct", nb), i * (i + 1) // 10 + 1)
+        _contract(lambda nb: lemma1_certificate(i, "exact", nb), pairs)
+        _contract(lambda nb: nongreedy_two_term_measure(i, nb), pairs)
+
+
+def test_decay_budget_counts_every_slice():
+    cell = Cell(level=2, lower=Fraction(1, 3), upper=Fraction(23, 60), best_rep=None)
+    report = measure.cell_decay_bound(cell, 26, "exact")
+    units = sum(oracle_lemma1.pair_count(i) for i in range(report.i0 + 1, 27))
+    _contract(lambda nb: measure.cell_decay_bound(cell, 26, "exact", nb), units)
+    # the lemma bound enumerates nothing, so it spends nothing
+    assert measure.cell_decay_bound(cell, 26, "lemma", 1).note is not None
+
+
+def test_budget_fails_fast_on_huge_slices():
+    # the counts stop once they pass the budget: no O(i^2) work at i = 10^5
+    t0 = time.time()
+    for run in (lambda: nongreedy_two_term_measure(100_000),
+                lambda: lemma1_certificate(100_000, "exact"),
+                lambda: lemma1_certificate(100_000, "direct"),
+                lambda: lemma1_certificate(100_000, "paper")):
+        with pytest.raises(NodeBudgetExceeded):
+            run()
+    assert time.time() - t0 < 5

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from egy.lemma1 import lemma1_certificate
@@ -107,6 +107,20 @@ def test_sum_pairs_empty_and_single():
     assert sum_exact([Fraction(5, 4)]) == Fraction(5, 4)
 
 
+@pytest.mark.parametrize("length", [0, 1, 1023, 1024, 1025, 2049])
+def test_sum_pairs_on_one_shot_generators(length):
+    # around the chunk size, where sums join the binary-counter stack
+    rng = random.Random(length)
+    values = [Fraction(rng.randrange(-(10**6), 10**6), rng.choice((1, 6, 35, rng.randrange(1, 10**9))))
+              for _ in range(length)]
+    stream = ((v.numerator, v.denominator) for v in values)
+    total = sum_pairs(stream)
+    assert next(stream, None) is None  # read once, to the end
+    expected = sum(values, Fraction(0))
+    assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
+    assert gcd(total.numerator, total.denominator) == 1
+
+
 def test_fraction_slots_are_the_ones_filled():
     # sum_pairs builds its result by writing these two slots, with no gcd
     assert Fraction.__slots__ == ("_numerator", "_denominator")
@@ -150,6 +164,27 @@ def test_format_rational_long_ints_match_str():
     den = 3**20_000
     text = _with_digit_limit(4300, lambda: format_rational(Fraction(-1, den)))
     assert text == _with_digit_limit(0, lambda: f"-1/{den}")
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=13_000, max_value=400_000), st.integers(min_value=0, max_value=2**32),
+       st.sampled_from(["random", "2^b - 1", "2^b", "10^d"]), st.booleans())
+def test_format_long_ints_match_str(bits, seed, form, negative):
+    # the decimal conversion against str(), for ints of 13k to 400k bits;
+    # the denominator is drawn at up to the numerator's width, so the
+    # two share a tree of leaves or the shorter one takes str()
+    rng = random.Random(seed)
+    if form == "random":
+        n = rng.getrandbits(bits) | 1 << (bits - 1)
+    elif form == "10^d":
+        n = 10 ** (bits * 3 // 10)
+    else:
+        n = (1 << bits) - (form == "2^b - 1")
+    value = Fraction(-n if negative else n, rng.getrandbits(rng.randrange(1, bits + 1)) | 1)
+    expected = _with_digit_limit(0, lambda: str(value))  # "p" or "p/q", like format_rational
+    assert _with_digit_limit(4300, lambda: format_rational(value)) == expected
+    assert _with_digit_limit(4300, lambda: format_rational(Fraction(n))) == (
+        _with_digit_limit(0, lambda: str(n)))
 
 
 def test_certificate_serializes_under_default_digit_limit():
