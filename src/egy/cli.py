@@ -13,7 +13,7 @@ from .greedy import greedy_underapprox
 from .lemma1 import MODES, lemma1_certificate, nongreedy_two_term_measure
 from .measure import cell_decay_bound, chain_check, sample_chain_density
 from .partition import Cell, cell_of, cells_in_window, cells_to_csv, next_regular_above
-from .rational import format_rational, parse_rational
+from .rational import format_rational, format_rational_scaled, parse_rational
 from .search import ResourceLimitError, best_underapprox
 
 
@@ -152,13 +152,13 @@ def _run(args: argparse.Namespace) -> tuple[str, str]:
     if args.command == "nongreedy":
         from fractions import Fraction
 
-        measure = nongreedy_two_term_measure(args.i, budget)
-        interval = Fraction(1, (args.i - 1) * args.i)
+        scale = (args.i - 1) * args.i
+        measure, ratio = format_rational_scaled(nongreedy_two_term_measure(args.i, budget), scale)
         out = {
             "i": args.i,
-            "measure": format_rational(measure),
-            "interval_length": format_rational(interval),
-            "ratio": format_rational(measure / interval),
+            "measure": measure,
+            "interval_length": format_rational(Fraction(1, scale)),
+            "ratio": ratio,
         }
         return json.dumps(out), ""
     if args.command == "decay":

@@ -32,7 +32,7 @@ from math import gcd
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .rational import format_rational, sum_pairs
+from .rational import format_rational, format_rational_scaled, sum_pairs
 from .search import NodeBudgetExceeded, _Budget
 
 _PERMILLE = Fraction(1, 1000)
@@ -56,13 +56,15 @@ class Lemma1Report:
     passed: bool
 
     def to_dict(self) -> dict:
+        # the ratio is the measure times (i-1) i: one conversion prints both
+        measure, ratio = format_rational_scaled(self.certified_measure, (self.i - 1) * self.i)
         return {
             "i": self.i,
             "mode": self.mode,
             "selected_count": self.selected_count,
-            "certified_measure": format_rational(self.certified_measure),
+            "certified_measure": measure,
             "interval_length": format_rational(self.interval_length),
-            "ratio": format_rational(self.ratio),
+            "ratio": ratio,
             "pass": self.passed,
         }
 

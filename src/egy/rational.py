@@ -13,6 +13,7 @@ million terms, and ``sum_exact`` adapts it to ``Fraction`` values.
 from __future__ import annotations
 
 import decimal
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,13 +44,24 @@ _STR_BITS = 13_000  # 2^13000 has 3914 digits
 _LEAF_BITS = 4096   # the widest leaf of the decimal conversion
 
 
-def _long_int_strs(values: Sequence[int]) -> list[str]:
-    """Decimal digits of each int, also past the interpreter's int-to-str limit.
+@contextmanager
+def _exact_decimals():
+    """A decimal context in which integer arithmetic never rounds."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = decimal.MAX_PREC
+        ctx.Emax = decimal.MAX_EMAX
+        ctx.traps[decimal.Inexact] = True
+        yield
 
-    The longest value fixes a tree of 2^k leaves of one width, at most
-    _LEAF_BITS, that covers its bits.  Every int longer than _STR_BITS
-    converts on that tree, splitting each width into two equal halves, so
-    all of them share one table of the Decimal powers 2^(leaf * 2^j).
+
+def _long_int_decimals(values: Sequence[int]) -> list[decimal.Decimal]:
+    """Each int as an exact Decimal, also past the int-to-str digit limit.
+
+    Call it under ``_exact_decimals()``.  The longest value fixes a tree of
+    2^k leaves of one width, at most _LEAF_BITS, that covers its bits.
+    Every int converts on that tree, splitting each width into two equal
+    halves, so all of them share one table of the Decimal powers
+    2^(leaf * 2^j).
     """
     leaf, levels = max(abs(v).bit_length() for v in values), 0
     while leaf > _LEAF_BITS:
@@ -78,16 +90,9 @@ def _long_int_strs(values: Sequence[int]) -> list[str]:
         return convert(hi, half) * pow2(half) + convert(m - (hi << half), half)
 
     out = []
-    with decimal.localcontext() as ctx:
-        ctx.prec = decimal.MAX_PREC
-        ctx.Emax = decimal.MAX_EMAX
-        ctx.traps[decimal.Inexact] = True
-        for v in values:
-            if abs(v).bit_length() <= _STR_BITS:
-                out.append(str(v))
-            else:
-                digits = str(convert(abs(v), leaf << levels))
-                out.append("-" + digits if v < 0 else digits)
+    for v in values:
+        d = convert(abs(v), leaf << levels)
+        out.append(-d if v < 0 else d)
     return out
 
 
@@ -100,7 +105,27 @@ def format_rational(value: Fraction) -> str:
     num, den = value.numerator, value.denominator
     if max(num, -num, den).bit_length() <= _STR_BITS:
         return str(num) if den == 1 else f"{num}/{den}"
-    return "/".join(_long_int_strs((num,) if den == 1 else (num, den)))
+    with _exact_decimals():
+        return "/".join(map(str, _long_int_decimals((num,) if den == 1 else (num, den))))
+
+
+def format_rational_scaled(value: Fraction, c: int) -> tuple[str, str]:
+    """``(format_rational(value), format_rational(value * c))`` for an int c,
+    from one decimal conversion of value.
+
+    With g = gcd(den, c), value * c is num (c/g) / (den/g), reduced because
+    c/g and den/g are coprime.  So its digits come from value's Decimals by
+    one exact multiplication by c/g and one exact division by g, both
+    linear in the digits when c is small, as the certificates' (i-1) i is.
+    """
+    num, den = value.numerator, value.denominator
+    g = gcd(den, c)
+    with _exact_decimals():
+        dnum, dden = _long_int_decimals((num, den))
+        snum, sden = dnum * (c // g), dden // g
+        texts = [str(dnum), str(dden), str(snum), str(sden)]
+    return (texts[0] if den == 1 else "/".join(texts[:2]),
+            texts[2] if den == g else "/".join(texts[2:]))
 
 
 @lru_cache(maxsize=64)  # every search call asks for H_n at its level

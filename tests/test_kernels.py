@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -154,9 +155,13 @@ def test_min_competitors_against_naive():
     lo, hi = Fraction(1, i), Fraction(1, i - 1)
     mins = {}
     for a in range(2, 200):
+        if a <= i:
+            continue
         for b in range(a + 1, 10**4):
             s = Fraction(1, a) + Fraction(1, b)
-            if not (lo < s <= hi) or a <= i:
+            if s <= lo:
+                break  # s falls as b grows: no later b lies in the slice
+            if s > hi:
                 continue
             gap = s - lo
             j = gap.denominator // gap.numerator + 1
@@ -168,11 +173,28 @@ def test_min_competitors_against_naive():
     assert got == mins
 
 
+@pytest.mark.parametrize("i", [400, 613])
+def test_min_competitors_state_is_cursors_plus_one_window(i):
+    # one cursor per a plus one window of at most 8i pairs, at most 256
+    # bytes for each a (a, its cursor, its last b, its window end) and each
+    # window pair (a dict entry keyed by j holding (a, b), and its place in
+    # the sorted keys); a list of the ~0.9 i^2 cells, or a window with no
+    # bound, would take tens of MB here
+    list(_kernels.iter_min_competitors(20))  # warm imports
+    tracemalloc.start()
+    try:
+        for _ in _kernels.iter_min_competitors(i):
+            pass
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (i + 8 * i) * 256, peak
+
 
 @pytest.mark.parametrize("i_values", [range(2, 201), (257, 400, 613)],
                          ids=["2-200", "257-400-613"])
 def test_streamed_competitors_match_dict_oracle(i_values):
-    # the heap merge against the dict-and-sort enumeration, tuple for tuple:
+    # the windowed walk against the dict-and-sort enumeration, tuple for tuple:
     # same cells, same unreduced sums, the smallest a on equal sums
     for i in i_values:
         stream = _kernels.iter_min_competitors(i)

@@ -1,4 +1,5 @@
 import random
+import sys
 import time
 import tracemalloc
 from fractions import Fraction
@@ -14,6 +15,7 @@ from egy.lemma1 import (
     xk,
 )
 from egy.partition import Cell
+from egy.rational import format_rational
 from egy.search import NodeBudgetExceeded, best_underapprox
 from oracle_bruteforce import brute_two_term_nongreedy
 
@@ -229,6 +231,31 @@ def test_decay_exact_slices_match_fraction_oracle(monkeypatch, lower, upper, lev
     assert report.to_dict() == expected.to_dict()
     assert report.enclosure == expected.enclosure
     assert report.note is None  # i_max > i0, so the slices were summed
+
+
+def test_report_dict_matches_field_by_field_format():
+    # to_dict prints the measure and the ratio, the measure times (i-1) i,
+    # from one decimal conversion: the bytes are those of format_rational
+    # on each field, under the default int-to-str digit limit
+    cases = [(i, "paper") for i in (1000, 1499, 2048)]
+    cases += [(i, "direct") for i in range(2, 401, 37)]
+    cases += [(i, "exact") for i in range(2, 151, 16)]
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for i, mode in cases:
+            report = lemma1_certificate(i, mode)
+            assert report.to_dict() == {
+                "i": i,
+                "mode": mode,
+                "selected_count": report.selected_count,
+                "certified_measure": format_rational(report.certified_measure),
+                "interval_length": format_rational(report.interval_length),
+                "ratio": format_rational(report.ratio),
+                "pass": report.passed,
+            }, (i, mode)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 # -- memory: O(i) state plus the result ---------------------------------

@@ -12,6 +12,7 @@ from egy.lemma1 import lemma1_certificate
 from egy.rational import (
     EgyptianRep,
     format_rational,
+    format_rational_scaled,
     harmonic,
     make_rep,
     parse_rational,
@@ -185,6 +186,32 @@ def test_format_long_ints_match_str(bits, seed, form, negative):
     assert _with_digit_limit(4300, lambda: format_rational(value)) == expected
     assert _with_digit_limit(4300, lambda: format_rational(Fraction(n))) == (
         _with_digit_limit(0, lambda: str(n)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=13_000, max_value=400_000), st.integers(min_value=0, max_value=2**32),
+       st.sampled_from(["any", "g > 1", "den divides c", "den 1"]), st.booleans())
+def test_format_rational_scaled_matches_format_rational(bits, seed, shape, negative):
+    # value and value * c from one conversion, against format_rational of
+    # each under the default digit limit: c shares a factor g > 1 with the
+    # denominator, is a multiple of it (value * c prints as an integer),
+    # or is drawn alone; value is an integer or has a denominator of up to
+    # the numerator's width
+    rng = random.Random(seed)
+    n = rng.getrandbits(bits) | 1 << (bits - 1) | 1
+    small = rng.randrange(2, 10**7)
+    den = 1 if shape == "den 1" else rng.getrandbits(rng.randrange(1, bits + 1)) | 1
+    if shape == "g > 1":
+        den <<= rng.randrange(1, 40)
+        small <<= rng.randrange(1, 60)
+    value = Fraction(-n if negative else n, den)
+    c = value.denominator * small if shape == "den divides c" else small
+    got = _with_digit_limit(4300, lambda: format_rational_scaled(value, c))
+    assert got == _with_digit_limit(4300, lambda: (format_rational(value), format_rational(value * c)))
+    if shape == "g > 1":
+        assert gcd(value.denominator, c) > 1
+    if shape == "den divides c":
+        assert "/" not in got[1]
 
 
 def test_certificate_serializes_under_default_digit_limit():
