@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import _kernels
 from .rational import format_rational, format_rational_scaled, sum_pairs
@@ -48,7 +48,6 @@ class CertificateError(ArithmeticError):
 class Lemma1Report:
     i: int
     mode: str
-    k_range_max: int
     selected_count: int
     certified_measure: Fraction
     interval_length: Fraction
@@ -92,19 +91,6 @@ def _charge(need: int, left: int, what: str) -> None:
         raise NodeBudgetExceeded(
             f"node budget exhausted: {what} needs at least {need} more units, {left} left"
         )
-
-
-def charge_exact_slices(slices: Iterable[int], node_budget: int | None, what: str) -> None:
-    """Charge one unit per competitor pair (a, b) the exact measures of
-    these slices enumerate, summed over all of them before any runs.  The
-    count is closed form per a and stops once it passes the budget."""
-    left = _Budget(node_budget).left
-    need = 0
-    for i in slices:
-        need += _kernels.competitor_pairs(i, left - need)
-        if need > left:
-            break
-    _charge(need, left, what)
 
 
 def _paper_range(i: int) -> tuple[int, int]:
@@ -201,25 +187,37 @@ def nongreedy_two_term_measure(i: int, node_budget: int | None = None) -> Fracti
     """
     if i < 2:
         raise ValueError(f"nongreedy_two_term_measure() needs i >= 2, got {i}")
-    charge_exact_slices((i,), node_budget, f"the exact measure at i={i}")
-    return _measure_above_competitors(i)[0]
+    return exact_measure(range(i, i + 1), node_budget, f"the exact measure at i={i}")[0]
 
 
-def _measure_above_competitors(i: int) -> tuple[Fraction, int]:
-    """Measure of the parts of the greedy cells above their minimal
-    competitors, as streamed by ``iter_min_competitors(i)``, and the
-    number of cells."""
+def exact_measure(slices: range, node_budget: int | None, what: str) -> tuple[Fraction, int]:
+    """The total measure of the non-greedy sets N_i over the slices i, and
+    the number of greedy cells that ``iter_min_competitors`` yields for them.
+
+    First one unit per competitor pair (a, b) of every slice is charged,
+    before any slice is enumerated: the count is closed form per a and
+    stops once it passes the budget.  Then every slice's parts of the cells
+    above their minimal competitors stream into one exact sum.
+    """
+    left = _Budget(node_budget).left
+    need = 0
+    for i in slices:
+        need += _kernels.competitor_pairs(i, left - need)
+        if need > left:
+            break
+    _charge(need, left, what)
     cells = 0
 
     def parts() -> Iterator[tuple[int, int]]:
         nonlocal cells
-        for j, s_num, s_den in _kernels.iter_min_competitors(i):
-            cells += 1
-            # 1/i + 1/(j-1) - s_num/s_den over the common denominator i(j-1) s_den
-            right_den = i * (j - 1)
-            num = (i + j - 1) * s_den - s_num * right_den
-            if num > 0:
-                yield _reduced(num, right_den * s_den)
+        for i in slices:
+            for j, s_num, s_den in _kernels.iter_min_competitors(i):
+                cells += 1
+                # 1/i + 1/(j-1) - s_num/s_den over the common denominator i(j-1) s_den
+                right_den = i * (j - 1)
+                num = (i + j - 1) * s_den - s_num * right_den
+                if num > 0:
+                    yield _reduced(num, right_den * s_den)
 
     return sum_pairs(parts()), cells
 
@@ -247,8 +245,7 @@ def lemma1_certificate(i: int, mode: str = "paper", node_budget: int | None = No
         _charge(i * (i + 1) // 10 + 1, left, what)
         measure, selected = _direct_certificate(i)
     else:
-        charge_exact_slices((i,), node_budget, what)
-        measure, selected = _measure_above_competitors(i)
+        measure, selected = exact_measure(range(i, i + 1), node_budget, what)
     interval = Fraction(1, (i - 1) * i)
     if not 0 <= measure <= interval:
         raise CertificateError(
@@ -258,7 +255,6 @@ def lemma1_certificate(i: int, mode: str = "paper", node_budget: int | None = No
     return Lemma1Report(
         i=i,
         mode=mode,
-        k_range_max=(i * (i + 1)) // 10,
         selected_count=selected,
         certified_measure=measure,
         interval_length=interval,

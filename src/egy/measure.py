@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lemma1 import charge_exact_slices, nongreedy_two_term_measure
+from .lemma1 import exact_measure
 from .partition import Cell
-from .rational import ZERO, ONE, EgyptianRep, format_rational, harmonic, sum_exact
+from .rational import ZERO, ONE, EgyptianRep, format_rational, harmonic
 from .search import ResourceLimitError, best_underapprox, has_representation
 
 # 99% two-sided normal quantile, fixed rational constant
@@ -318,12 +318,10 @@ def cell_decay_bound(
         exceptional = length - Fraction(1, i0)
         slices_total = Fraction(1, i0) - Fraction(1, i_max)  # sum of |I_i|
         if slice_bound == "exact":
-            slices = range(i0 + 1, i_max + 1)
-            charge_exact_slices(
-                slices, node_budget, f"the exact slice bound over i = {i0 + 1}..{i_max}"
+            certified, _ = exact_measure(
+                range(i0 + 1, i_max + 1), node_budget,
+                f"the exact slice bound over i = {i0 + 1}..{i_max}",
             )
-            # each slice needs at most what all of them need, so none raises
-            certified = sum_exact(nongreedy_two_term_measure(i, node_budget) for i in slices)
         else:
             start = max(i0 + 1, 1000)
             if start <= i_max:

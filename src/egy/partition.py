@@ -8,7 +8,10 @@ plus the single unbounded cell (H_n, inf).  Bounded cells are no longer than
 Also provides the "regular" numbers used in the density argument behind that
 length bound: sums whose first l denominators are 1..l and whose remaining
 denominators m satisfy m_{k+1} >= (m_k - 1) m_k + 1 (each tail term at most
-the gap its predecessor left behind).
+the gap its predecessor left behind).  The densest tail is the Sylvester
+chain of equalities, and because m_{k+1} - 1 = m_k (m_k - 1) its terms
+telescope: r of them from m sum to 1/(m - 1) - 1/(m_r - 1).  The search
+reads each tail off that closed form.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .greedy import DEFAULT_MAX_TERMS
 from .rational import ZERO, EgyptianRep, format_rational, harmonic
 from .search import best_underapprox, next_point_above
 
@@ -123,35 +127,17 @@ def refinement_check(x: Fraction, n: int, node_budget: int | None = None) -> boo
 
 
 def _sylvester_maxtail(m: int, r: int) -> Fraction:
-    """Largest constrained r-term tail starting at denominator >= m.
+    """Largest constrained r-term tail starting at denominator >= m >= 2.
 
     The constraint m_{k+1} >= (m_k - 1) m_k + 1 makes the densest tail the
-    chain of equalities from m itself.
+    chain of equalities from m itself.  Since m_{k+1} - 1 = m_k (m_k - 1),
+    each term is 1/m_k = 1/(m_k - 1) - 1/(m_{k+1} - 1), so the r terms
+    telescope to 1/(m - 1) - 1/(m_r - 1), a value in [1/m, 1/(m - 1)).
     """
-    total = ZERO
+    m_r = m
     for _ in range(r):
-        total += Fraction(1, m)
-        m = (m - 1) * m + 1
-    return total
-
-
-def _largest_feasible(need: Fraction, low: int, r: int) -> int:
-    """Largest m >= low with _sylvester_maxtail(m, r) >= need.
-
-    Caller guarantees feasibility at low; the reach is strictly decreasing
-    in m and tends to 0, so the bracket-and-bisect below terminates.
-    """
-    hi = low * 2
-    while _sylvester_maxtail(hi, r) >= need:
-        hi *= 2
-    lo = low
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _sylvester_maxtail(mid, r) >= need:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+        m_r = (m_r - 1) * m_r + 1
+    return Fraction(m_r - m, (m - 1) * (m_r - 1))
 
 
 def _regular_descend(x: Fraction, hi: Fraction, r: int, low: int, p: Fraction) -> Fraction | None:
@@ -160,6 +146,10 @@ def _regular_descend(x: Fraction, hi: Fraction, r: int, low: int, p: Fraction) -
     Greedy descent: take the largest feasible denominator while still below
     x, then finish with a sparse chain once x is passed.  Returns None when
     the branch cannot reach x or the canonical completion escapes hi.
+
+    The densest tail from m lies in [1/m, 1/(m - 1)) and falls strictly as
+    m grows, so with c = floor(1/need) every m <= c reaches need and no
+    m >= c + 2 does: one tail at c + 1 decides the largest feasible m.
     """
     while r > 0:
         if p >= x:
@@ -169,24 +159,17 @@ def _regular_descend(x: Fraction, hi: Fraction, r: int, low: int, p: Fraction) -
             # a chain starting at m sums below 1/(m-1), so m-1 >= 1/rem keeps
             # the whole completion inside the window
             m = max(low, -((-rem.denominator) // rem.numerator) + 1)
-            while r > 0:
-                p += Fraction(1, m)
-                m = (m - 1) * m + 1
-                r -= 1
-            return p
+            return p + _sylvester_maxtail(m, r)
         need = x - p
-        if r == 1:
-            m = need.denominator // need.numerator  # largest m with 1/m >= need
-            if m < low:
-                return None
-            return p + Fraction(1, m)
-        if _sylvester_maxtail(low, r) < need:
+        m = need.denominator // need.numerator  # largest m with 1/m >= need
+        if m + 1 >= low and _sylvester_maxtail(m + 1, r) >= need:
+            m += 1
+        if m < low:
             return None
-        m = _largest_feasible(need, low, r)
         p += Fraction(1, m)
         low = (m - 1) * m + 1
         r -= 1
-    return p if p >= x else None
+    return p  # each m keeps x within reach of its tail, so p >= x
 
 
 def next_regular_above(x: Fraction, n: int) -> Fraction:
@@ -196,11 +179,15 @@ def next_regular_above(x: Fraction, n: int) -> Fraction:
     constrained terms); the infimum of regular values >= x is not always
     attained (tails can shrink toward a limit), so the canonical greedy
     descent value per branch is used.  The returned value always satisfies
-    the 1/(n(n+1)) density bound.
+    the 1/(n(n+1)) density bound.  n is capped at the term limit of the
+    searches, ``DEFAULT_MAX_TERMS``: the values' denominators grow doubly
+    exponentially in n.
     """
     x = Fraction(x)
     if n < 1:
         raise ValueError(f"next_regular_above() needs n >= 1, got {n}")
+    if n > DEFAULT_MAX_TERMS:
+        raise ValueError(f"n={n} exceeds the term limit {DEFAULT_MAX_TERMS}")
     hn = harmonic(n)
     if not 0 < x <= hn:
         raise ValueError(f"need 0 < x <= harmonic({n}), got {x}")

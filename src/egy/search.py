@@ -34,7 +34,7 @@ from math import gcd
 
 from . import _kernels
 from .greedy import DEFAULT_MAX_TERMS, greedy_completion
-from .rational import ZERO, EgyptianRep, harmonic, sum_exact
+from .rational import ZERO, EgyptianRep, harmonic
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -286,7 +286,7 @@ def _min_jterm_above(
                 best = cand
             return
         m = max(m_last + 1, _floor_recip(gap) + 1)
-        run = sum_exact(Fraction(1, m + t) for t in range(r))
+        run = Fraction(*_consecutive_run(m, r))
         while True:
             if p + run <= q:
                 break  # even consecutive denominators cannot climb past q

@@ -219,7 +219,9 @@ def test_global_flags_on_either_side(capsys):
 
 # sha256 of stdout, recorded before the certificates moved onto integer
 # pairs (the certificate commands print rationals of up to 95,000
-# characters) and, for sample, before searches raised on over-budget subtrees
+# characters), for sample before searches raised on over-budget subtrees,
+# and for regular, cell and the lemma decay bound before the regular
+# numbers took the closed-form Sylvester tail
 GOLDEN_STDOUT = [
     (("lemma1", "1000", "--mode", "paper"),
      "535d46e9de65e0d0c68896c29e4d25e0cd21fabc0fab3aa3b3ddee658aa449ae"),
@@ -235,6 +237,16 @@ GOLDEN_STDOUT = [
      "eb2f9d58c30abb12aabe4e44004ea28976910d12447597b7df7a207398a97b2c"),
     (("sample", "2", "5", "--count", "200", "--seed", "7", "--node-budget", "300000", "--csv"),
      "c0224629571adc431657c40d2189cb0c8ffdc9d8994c69a49455c11024848ca9"),
+    (("regular", "9/25", "2"),
+     "0c941949feba29ce76bc47a804fe1171a22366e1d654cf6115e033ce079b5aa8"),
+    (("regular", "1/2", "12"),
+     "0074ccaa5d5bd78122e8d318f20c0d8d0d5b1051dd7255959ff1b12af2f0e70a"),
+    (("cell", "11/24", "2"),
+     "9f8b71a5b4b1021d788de2c2e7db90c0e77de1c9e215bdcfe6a82c0a42eb8cd0"),
+    (("cell", "11/24", "4"),
+     "3afd17af1e30fdfee20301032d82aec12ee576ee82e745c669ce1ff0936653af"),
+    (("decay", "1/3", "1003/3000", "31", "--imax", "10000000"),
+     "67b89231b0e5fa2f9342d9908d032ffd2b1a57d191c6caf004adabab1102a4c0"),
 ]
 
 

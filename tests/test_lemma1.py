@@ -224,9 +224,8 @@ def test_direct_mode_matches_fraction_oracle():
 def test_decay_exact_slices_match_fraction_oracle(monkeypatch, lower, upper, level, i_max):
     cell = Cell(level=level, lower=lower, upper=upper, best_rep=None)
     report = measure.cell_decay_bound(cell, i_max, slice_bound="exact")
-    monkeypatch.setattr(measure, "sum_exact", oracle_lemma1.fraction_sum)
-    monkeypatch.setattr(measure, "nongreedy_two_term_measure",
-                        lambda i, node_budget=None: oracle_lemma1.nongreedy_measure(i))
+    monkeypatch.setattr(measure, "exact_measure", lambda slices, node_budget, what: (
+        oracle_lemma1.fraction_sum(oracle_lemma1.nongreedy_measure(i) for i in slices), None))
     expected = measure.cell_decay_bound(cell, i_max, slice_bound="exact")
     assert report.to_dict() == expected.to_dict()
     assert report.enclosure == expected.enclosure
@@ -277,6 +276,15 @@ def test_certificate_peak_memory(i, mode, limit_mb):
     assert peak < limit_mb * 1e6, peak
 
 
+def test_exact_measure_counts_cells_over_slices():
+    # the measure and cell count of a slice range are those of its slices
+    slices = range(5, 31)
+    total, cells = lemma1.exact_measure(slices, None, "slices")
+    assert total == oracle_lemma1.fraction_sum(oracle_lemma1.nongreedy_measure(i) for i in slices)
+    assert cells == sum(len(oracle_lemma1.min_competitors(i)) for i in slices)
+    assert lemma1.exact_measure(range(2, 2), None, "no slice") == (0, 0)
+
+
 # -- the node budget: one unit per l, k or competitor pair ----------------
 
 
@@ -306,6 +314,20 @@ def test_decay_budget_counts_every_slice():
     _contract(lambda nb: measure.cell_decay_bound(cell, 26, "exact", nb), units)
     # the lemma bound enumerates nothing, so it spends nothing
     assert measure.cell_decay_bound(cell, 26, "lemma", 1).note is not None
+
+
+def test_decay_counts_each_slice_once(monkeypatch):
+    counted = []
+
+    def spy(i, limit):
+        counted.append(i)
+        return count(i, limit)
+
+    count = lemma1._kernels.competitor_pairs
+    monkeypatch.setattr(lemma1._kernels, "competitor_pairs", spy)
+    cell = Cell(level=2, lower=Fraction(1, 3), upper=Fraction(23, 60), best_rep=None)
+    report = measure.cell_decay_bound(cell, 26, "exact")
+    assert counted == list(range(report.i0 + 1, 27))
 
 
 def test_budget_fails_fast_on_huge_slices():

@@ -1,7 +1,14 @@
+import os
+import random
+import subprocess
+import sys
+import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import oracle_regular
 from conftest import random_rational
 from egy.partition import (
     Cell,
@@ -159,6 +166,46 @@ def test_regular_density(rng):
             x = random_rational(rng, max_den=600, hi=harmonic(n))
             r = next_regular_above(x, n)
             assert x <= r <= x + Fraction(1, n * (n + 1))
+
+
+def test_next_regular_above_matches_term_by_term_oracle():
+    # the closed-form tails against the tails added term by term: per n,
+    # H_n, 1/2, H_n/7 and random x for each denominator bound.  The
+    # oracle's bisection takes 0.1-11 s per x at n = 12 with 40-bit
+    # denominators (0.005 s here), so those get few oracle draws and more
+    # checks of the density bound alone
+    rng = random.Random(0x5E6)
+    cases = []
+    for n in range(1, 13):
+        hn = harmonic(n)
+        cases += [(hn, n), (Fraction(1, 2), n), (hn / 7, n)]
+        for max_den in (49, 10**4 - 1, 2**40 - 1):
+            draws = {(11, 2**40 - 1): 12, (12, 2**40 - 1): 3}.get((n, max_den), 45)
+            cases += [(random_rational(rng, max_den=max_den, hi=hn), n) for _ in range(draws)]
+    assert len(cases) >= 1500
+    for x, n in cases:
+        assert next_regular_above(x, n) == oracle_regular.next_regular_above(x, n), (x, n)
+    for _ in range(100):
+        x = random_rational(rng, max_den=2**40 - 1, hi=harmonic(12))
+        assert x <= next_regular_above(x, 12) <= x + Fraction(1, 156), x
+
+
+def test_next_regular_above_term_limit():
+    assert next_regular_above(Fraction(1, 2), 12) >= Fraction(1, 2)
+    with pytest.raises(ValueError, match="n=13 exceeds the term limit 12"):
+        next_regular_above(Fraction(1, 2), 13)
+
+
+def test_regular_cli_exits_2_past_the_term_limit():
+    # unbounded, n = 24 ran for minutes and printed megabytes
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    t0 = time.time()
+    proc = subprocess.run([sys.executable, "-m", "egy", "regular", "1/2", "24"],
+                          capture_output=True, text=True, env=env, timeout=10)
+    assert time.time() - t0 < 10
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == "" and "term limit" in proc.stderr
 
 
 def test_regular_spacing_shared_prefix():
