@@ -9,11 +9,11 @@ import argparse
 import json
 import sys
 
-from .greedy import greedy_underapprox
+from .greedy import _greedy_terms
 from .lemma1 import MODES, lemma1_certificate, nongreedy_two_term_measure
 from .measure import cell_decay_bound, chain_check, sample_chain_density
 from .partition import Cell, cell_of, cells_in_window, cells_to_csv, next_regular_above
-from .rational import format_rational, format_rational_scaled, parse_rational
+from .rational import format_rational, format_rational_scaled, parse_int, parse_rational
 from .search import ResourceLimitError, best_underapprox
 
 
@@ -27,6 +27,8 @@ def _add_global_flags(parser: argparse.ArgumentParser, with_defaults: bool) -> N
     def default(value):
         return value if with_defaults else argparse.SUPPRESS
 
+    # every type=int argument reads any length, and errors still name "int"
+    parser.register("type", int, parse_int)
     parser.add_argument("--json", action="store_true", default=default(False),
                         help="JSON output (default)")
     parser.add_argument("--csv", action="store_true", default=default(False),
@@ -115,21 +117,31 @@ def _cell_dict(cell: Cell) -> dict:
     }
 
 
-def _run(args: argparse.Namespace) -> tuple[str, str]:
-    """Returns (json_text, csv_text); csv falls back to JSON when a command
-    has no tabular form."""
+def _json_text(value) -> str:
+    """``json.dumps(value)`` for a report of dicts, lists, strings, bools,
+    None and ints, with every int printed by ``format_rational``: ``str()``
+    of an int is quadratic, and refused past the int-to-str digit limit."""
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json_text(v)}" for k, v in value.items()) + "}"
+    if isinstance(value, list):
+        return "[" + ", ".join(map(_json_text, value)) + "]"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return format_rational(value)
+    return json.dumps(value)
+
+
+def _run(args: argparse.Namespace) -> tuple[dict, str]:
+    """Returns (report, csv_text); csv_text is built only under --csv, and
+    csv falls back to the report's JSON when a command has no tabular form."""
     budget = args.node_budget
     if args.command == "greedy":
-        rep = greedy_underapprox(parse_rational(args.x), args.n)
-        out = {"rep": list(rep), "value": format_rational(rep.value())}
-        return json.dumps(out), ""
+        rep, value = _greedy_terms(parse_rational(args.x), args.n)
+        return {"rep": rep, "value": format_rational(value)}, ""
     if args.command == "best":
         value, rep = best_underapprox(parse_rational(args.x), args.n, budget)
-        out = {"value": format_rational(value), "rep": list(rep)}
-        return json.dumps(out), ""
+        return {"value": format_rational(value), "rep": list(rep)}, ""
     if args.command == "cell":
-        cell = cell_of(parse_rational(args.x), args.n, budget)
-        return json.dumps(_cell_dict(cell)), ""
+        return _cell_dict(cell_of(parse_rational(args.x), args.n, budget)), ""
     if args.command == "cells":
         cells, uncovered = cells_in_window(
             parse_rational(args.a), parse_rational(args.b), args.n,
@@ -139,16 +151,13 @@ def _run(args: argparse.Namespace) -> tuple[str, str]:
             "cells": [_cell_dict(c) for c in cells],
             "uncovered": format_rational(uncovered),
         }
-        return json.dumps(out), cells_to_csv(cells)
+        return out, cells_to_csv(cells) if args.csv else ""
     if args.command == "regular":
-        value = next_regular_above(parse_rational(args.x), args.n)
-        return json.dumps({"value": format_rational(value)}), ""
+        return {"value": format_rational(next_regular_above(parse_rational(args.x), args.n))}, ""
     if args.command == "chain":
-        report = chain_check(parse_rational(args.x), args.n0, args.t, node_budget=budget)
-        return json.dumps(report.to_dict()), ""
+        return chain_check(parse_rational(args.x), args.n0, args.t, node_budget=budget).to_dict(), ""
     if args.command == "lemma1":
-        report = lemma1_certificate(args.i, args.mode, budget)
-        return json.dumps(report.to_dict()), ""
+        return lemma1_certificate(args.i, args.mode, budget).to_dict(), ""
     if args.command == "nongreedy":
         from fractions import Fraction
 
@@ -160,30 +169,18 @@ def _run(args: argparse.Namespace) -> tuple[str, str]:
             "interval_length": format_rational(Fraction(1, scale)),
             "ratio": ratio,
         }
-        return json.dumps(out), ""
+        return out, ""
     if args.command == "decay":
-        cell = Cell(
-            level=args.t,
-            lower=parse_rational(args.q),
-            upper=parse_rational(args.r),
-            best_rep=None,
-        )
-        report = cell_decay_bound(cell, args.imax, args.slice_bound, budget)
-        return json.dumps(report.to_dict()), ""
+        cell = Cell(level=args.t, lower=parse_rational(args.q), upper=parse_rational(args.r),
+                    best_rep=None)
+        return cell_decay_bound(cell, args.imax, args.slice_bound, budget).to_dict(), ""
     if args.command == "sample":
-        report = sample_chain_density(
-            args.s, args.t, args.count, args.seed, args.bits, budget
-        )
-        return json.dumps(report.to_dict()), report.to_csv()
+        report = sample_chain_density(args.s, args.t, args.count, args.seed, args.bits, budget)
+        return report.to_dict(), report.to_csv() if args.csv else ""
     raise AssertionError(f"unhandled command {args.command}")
 
 
 def main(argv: list[str] | None = None) -> int:
-    # format_rational does not need it, but error messages and parsed
-    # arguments can carry ints beyond the default 4300-digit int-to-str
-    # guard; lifting it is safe for a tool that parses only its arguments
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.json and args.csv:
@@ -193,7 +190,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.node_budget is not None and args.node_budget < 1:
         parser.error("--node-budget must be >= 1")
     try:
-        json_text, csv_text = _run(args)
+        report, csv_text = _run(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -204,7 +201,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.csv and csv_text:
             sys.stdout.write(csv_text)
         else:
-            print(json_text)
+            print(_json_text(report))
         sys.stdout.flush()
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not an error

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import ZERO, EgyptianRep
+from .rational import ZERO, EgyptianRep, format_rational
 
 # Greedy denominators grow doubly exponentially (43 -> 1807 -> 3263443 ...);
 # the cap guards against adversarial term counts, not memory-per-term.
@@ -42,11 +42,11 @@ def greedy_completion(
 def _greedy_terms(x: Fraction, n: int) -> tuple[list[int], Fraction]:
     """The first n greedy denominators of x > 0 and their exact sum."""
     if x <= 0:
-        raise ValueError(f"greedy_underapprox() needs x > 0, got {x}")
+        raise ValueError(f"greedy_underapprox() needs x > 0, got {format_rational(x)}")
     if n < 0:
-        raise ValueError(f"greedy_underapprox() needs n >= 0, got {n}")
+        raise ValueError(f"greedy_underapprox() needs n >= 0, got {format_rational(n)}")
     if n > DEFAULT_MAX_TERMS:
-        raise ValueError(f"n={n} exceeds the term limit {DEFAULT_MAX_TERMS}")
+        raise ValueError(f"n={format_rational(n)} exceeds the term limit {DEFAULT_MAX_TERMS}")
     return greedy_completion(Fraction(x), n)
 
 

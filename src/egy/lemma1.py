@@ -33,7 +33,7 @@ from typing import Iterator
 
 from . import _kernels
 from .rational import format_rational, format_rational_scaled, sum_pairs
-from .search import NodeBudgetExceeded, _Budget
+from .search import _Budget
 
 _PERMILLE = Fraction(1, 1000)
 
@@ -84,15 +84,6 @@ def _reduced(num: int, den: int) -> tuple[int, int]:
     return num // g, den // g
 
 
-def _charge(need: int, left: int, what: str) -> None:
-    """Charge need units, counted before the enumeration they pay for runs:
-    raise ``NodeBudgetExceeded`` when they pass the budget left."""
-    if need > left:
-        raise NodeBudgetExceeded(
-            f"node budget exhausted: {what} needs at least {need} more units, {left} left"
-        )
-
-
 def _paper_range(i: int) -> tuple[int, int]:
     """The l of the paper certificate: ceil(N/100) .. floor(3N/200)."""
     big = i * (i + 1)
@@ -126,7 +117,7 @@ def _paper_terms(i: int) -> Iterator[tuple[int, int]]:
         dd = q_even * q_odd
         if not 13 * dd <= 3 * dn <= 14 * dd:
             raise CertificateError(
-                f"difference {Fraction(dn, dd)} outside [13/3, 14/3] at i={i}, l={l}"
+                f"difference {format_rational(Fraction(dn, dd))} outside [13/3, 14/3] at i={i}, l={l}"
             )
         # one of the pair must have fractional part >= 1/3, else the two
         # floors would be more than 14/3 apart
@@ -139,7 +130,7 @@ def _paper_terms(i: int) -> Iterator[tuple[int, int]]:
                 f"no fractional part >= 1/3 in pair at i={i}, l={l}"
             )
         if 5 * p >= cap * q:
-            raise CertificateError(f"x_k = {Fraction(p, q)} >= 6i^2/5 at i={i}, k={k}")
+            raise CertificateError(f"x_k = {format_rational(Fraction(p, q))} >= 6i^2/5 at i={i}, k={k}")
         floor_x = p // q
         cell = floor_x + 1
         if cell <= prev_cell:
@@ -150,7 +141,7 @@ def _paper_terms(i: int) -> Iterator[tuple[int, int]]:
         den = floor_x * p
         if floor_bound * num <= 25 * den:
             raise CertificateError(
-                f"right part {Fraction(num, den)} <= 25/(108 i^4) at i={i}, k={k}"
+                f"right part {format_rational(Fraction(num, den))} <= 25/(108 i^4) at i={i}, k={k}"
             )
         yield _reduced(num, den)
 
@@ -158,7 +149,7 @@ def _paper_terms(i: int) -> Iterator[tuple[int, int]]:
 def _paper_certificate(i: int) -> tuple[Fraction, int]:
     total = sum_pairs(_paper_terms(i))
     if total.numerator * 1000 * (i - 1) * i <= total.denominator:
-        raise CertificateError(f"certified total {total} below 1 permille at i={i}")
+        raise CertificateError(f"certified total {format_rational(total)} below 1 permille at i={i}")
     lo, hi = _paper_range(i)
     return total, hi - lo + 1  # one term per l, or a CertificateError
 
@@ -186,8 +177,8 @@ def nongreedy_two_term_measure(i: int, node_budget: int | None = None) -> Fracti
     node_budget per enumerated pair (a, b).
     """
     if i < 2:
-        raise ValueError(f"nongreedy_two_term_measure() needs i >= 2, got {i}")
-    return exact_measure(range(i, i + 1), node_budget, f"the exact measure at i={i}")[0]
+        raise ValueError(f"nongreedy_two_term_measure() needs i >= 2, got {format_rational(i)}")
+    return exact_measure(range(i, i + 1), node_budget, f"the exact measure at i={format_rational(i)}")[0]
 
 
 def exact_measure(slices: range, node_budget: int | None, what: str) -> tuple[Fraction, int]:
@@ -199,13 +190,13 @@ def exact_measure(slices: range, node_budget: int | None, what: str) -> tuple[Fr
     stops once it passes the budget.  Then every slice's parts of the cells
     above their minimal competitors stream into one exact sum.
     """
-    left = _Budget(node_budget).left
+    budget = _Budget(node_budget)
     need = 0
     for i in slices:
-        need += _kernels.competitor_pairs(i, left - need)
-        if need > left:
+        need += _kernels.competitor_pairs(i, budget.left - need)
+        if need > budget.left:
             break
-    _charge(need, left, what)
+    budget.require(need, what)
     cells = 0
 
     def parts() -> Iterator[tuple[int, int]]:
@@ -232,25 +223,24 @@ def lemma1_certificate(i: int, mode: str = "paper", node_budget: int | None = No
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     if i < 2:
-        raise ValueError(f"lemma1_certificate() needs i >= 2, got {i}")
-    what = f"the {mode} certificate at i={i}"
-    left = _Budget(node_budget).left
+        raise ValueError(f"lemma1_certificate() needs i >= 2, got {format_rational(i)}")
+    what = f"the {mode} certificate at i={format_rational(i)}"
+    budget = _Budget(node_budget)
     if mode == "paper":
         if i < 1000:
-            raise ValueError(f"paper mode needs i >= 1000, got {i}")
+            raise ValueError(f"paper mode needs i >= 1000, got {format_rational(i)}")
         lo, hi = _paper_range(i)
-        _charge(hi - lo + 1, left, what)
+        budget.require(hi - lo + 1, what)
         measure, selected = _paper_certificate(i)
     elif mode == "direct":
-        _charge(i * (i + 1) // 10 + 1, left, what)
+        budget.require(i * (i + 1) // 10 + 1, what)
         measure, selected = _direct_certificate(i)
     else:
         measure, selected = exact_measure(range(i, i + 1), node_budget, what)
     interval = Fraction(1, (i - 1) * i)
     if not 0 <= measure <= interval:
-        raise CertificateError(
-            f"measure {measure} outside [0, {interval}] at i={i}, mode={mode}"
-        )
+        raise CertificateError(f"measure {format_rational(measure)} outside "
+                               f"[0, {format_rational(interval)}] at i={i}, mode={mode}")
     ratio = measure / interval
     return Lemma1Report(
         i=i,

@@ -56,7 +56,8 @@ class MeasureEnclosure:
 
     def __post_init__(self) -> None:
         if not 0 <= self.lower <= self.upper:
-            raise ValueError(f"invalid enclosure [{self.lower}, {self.upper}]")
+            raise ValueError(f"invalid enclosure [{format_rational(self.lower)}, "
+                             f"{format_rational(self.upper)}]")
 
 
 def chain_check(
@@ -76,11 +77,11 @@ def chain_check(
     """
     x = Fraction(x)
     if not 0 <= n0 < t:
-        raise ValueError(f"need 0 <= n0 < t, got n0={n0}, t={t}")
+        raise ValueError(f"need 0 <= n0 < t, got n0={format_rational(n0)}, t={format_rational(t)}")
     if x <= 0:
-        raise ValueError(f"chain_check() needs x > 0, got {x}")
+        raise ValueError(f"chain_check() needs x > 0, got {format_rational(x)}")
     if n0 >= 1 and x > harmonic(n0):
-        raise ValueError(f"chain_check() needs x <= harmonic({n0}), got {x}")
+        raise ValueError(f"chain_check() needs x <= harmonic({n0}), got {format_rational(x)}")
     values: list[Fraction] = []
     diffs: list[Fraction] = []
     verdict = True
@@ -182,7 +183,7 @@ class SampleReport:
         lines = ["x,verdict,failure_level"]
         for x, verdict, failure in self.rows:
             lines.append(
-                f"{format_rational(x)},{verdict},{'' if failure is None else failure}"
+                f"{format_rational(x)},{verdict},{'' if failure is None else format_rational(failure)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -203,13 +204,14 @@ def sample_chain_density(
     counted as undecided and excluded from the fraction.
     """
     if s < 1:
-        raise ValueError(f"sample_chain_density() needs s >= 1, got {s}")
+        raise ValueError(f"sample_chain_density() needs s >= 1, got {format_rational(s)}")
     if t <= s:
-        raise ValueError(f"sample_chain_density() needs t > s, got s={s}, t={t}")
+        raise ValueError(f"sample_chain_density() needs t > s, got s={format_rational(s)}, "
+                         f"t={format_rational(t)}")
     if count < 1:
-        raise ValueError(f"sample_chain_density() needs count >= 1, got {count}")
+        raise ValueError(f"sample_chain_density() needs count >= 1, got {format_rational(count)}")
     if bits < 16:
-        raise ValueError(f"sample_chain_density() needs bits >= 16, got {bits}")
+        raise ValueError(f"sample_chain_density() needs bits >= 16, got {format_rational(bits)}")
     hs = harmonic(s)
     scale = 1 << bits
     top = (hs.numerator * scale) // hs.denominator
@@ -306,7 +308,7 @@ def cell_decay_bound(
     if slice_bound not in ("lemma", "exact"):
         raise ValueError(f"slice_bound must be 'lemma' or 'exact', got {slice_bound!r}")
     if i_max < 1:
-        raise ValueError(f"cell_decay_bound() needs i_max >= 1, got {i_max}")
+        raise ValueError(f"cell_decay_bound() needs i_max >= 1, got {format_rational(i_max)}")
     length = cell.upper - cell.lower
     # smallest i0 with 1/i0 < length
     i0 = length.denominator // length.numerator + 1
@@ -320,7 +322,7 @@ def cell_decay_bound(
         if slice_bound == "exact":
             certified, _ = exact_measure(
                 range(i0 + 1, i_max + 1), node_budget,
-                f"the exact slice bound over i = {i0 + 1}..{i_max}",
+                f"the exact slice bound over i = {format_rational(i0 + 1)}..{format_rational(i_max)}",
             )
         else:
             start = max(i0 + 1, 1000)

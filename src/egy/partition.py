@@ -37,15 +37,15 @@ class Cell:
         if self.level < 1:
             raise ValueError(f"cell level must be >= 1, got {self.level}")
         if self.lower < 0:
-            raise ValueError(f"cell lower endpoint must be >= 0, got {self.lower}")
+            raise ValueError(f"cell lower endpoint must be >= 0, got {format_rational(self.lower)}")
         if self.upper is not None:
             if self.lower >= self.upper:
-                raise ValueError(f"empty cell ({self.lower}, {self.upper}]")
+                raise ValueError(f"empty cell ({format_rational(self.lower)}, {format_rational(self.upper)}]")
             cap = Fraction(1, self.level * (self.level + 1))
             if self.upper - self.lower > cap:
                 raise ValueError(
                     f"bounded level-{self.level} cell longer than {cap}: "
-                    f"({self.lower}, {self.upper}]"
+                    f"({format_rational(self.lower)}, {format_rational(self.upper)}]"
                 )
 
     def length(self) -> Fraction | None:
@@ -64,9 +64,9 @@ def cell_of(x: Fraction, n: int, node_budget: int | None = None) -> Cell:
     """The unique level-n cell containing x > 0."""
     x = Fraction(x)
     if x <= 0:
-        raise ValueError(f"cell_of() needs x > 0, got {x}")
+        raise ValueError(f"cell_of() needs x > 0, got {format_rational(x)}")
     if n < 1:
-        raise ValueError(f"cell_of() needs n >= 1, got {n}")
+        raise ValueError(f"cell_of() needs n >= 1, got {format_rational(n)}")
     hn = harmonic(n)
     if x > hn:
         return Cell(level=n, lower=hn, upper=None, best_rep=None)
@@ -95,9 +95,10 @@ def cells_in_window(
     """
     a, b = Fraction(a), Fraction(b)
     if not 0 < a < b <= harmonic(n):
-        raise ValueError(f"need 0 < a < b <= harmonic({n}), got a={a}, b={b}")
+        raise ValueError(f"need 0 < a < b <= harmonic({n}), got a={format_rational(a)}, "
+                         f"b={format_rational(b)}")
     if max_cells < 0:
-        raise ValueError(f"max_cells must be >= 0, got {max_cells}")
+        raise ValueError(f"max_cells must be >= 0, got {format_rational(max_cells)}")
     cells: list[Cell] = []
     cursor = b
     while len(cells) < max_cells and cursor > a:
@@ -185,12 +186,12 @@ def next_regular_above(x: Fraction, n: int) -> Fraction:
     """
     x = Fraction(x)
     if n < 1:
-        raise ValueError(f"next_regular_above() needs n >= 1, got {n}")
+        raise ValueError(f"next_regular_above() needs n >= 1, got {format_rational(n)}")
     if n > DEFAULT_MAX_TERMS:
-        raise ValueError(f"n={n} exceeds the term limit {DEFAULT_MAX_TERMS}")
+        raise ValueError(f"n={format_rational(n)} exceeds the term limit {DEFAULT_MAX_TERMS}")
     hn = harmonic(n)
     if not 0 < x <= hn:
-        raise ValueError(f"need 0 < x <= harmonic({n}), got {x}")
+        raise ValueError(f"need 0 < x <= harmonic({n}), got {format_rational(x)}")
     window_hi = x + Fraction(1, n * (n + 1))
     best = hn  # the l = n regular value; >= x by the precondition
     prefix = ZERO
@@ -211,6 +212,6 @@ def cells_to_csv(cells: list[Cell]) -> str:
     for c in cells:
         upper = "+inf" if c.upper is None else format_rational(c.upper)
         length = "" if c.upper is None else format_rational(c.upper - c.lower)
-        rep = "" if c.best_rep is None else " ".join(str(m) for m in c.best_rep)
-        lines.append(f"{c.level},{format_rational(c.lower)},{upper},{length},{rep}")
+        rep = "" if c.best_rep is None else " ".join(map(format_rational, c.best_rep))
+        lines.append(f"{format_rational(c.level)},{format_rational(c.lower)},{upper},{length},{rep}")
     return "\n".join(lines) + "\n"

@@ -27,21 +27,32 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+# int() of a str and str() of an int are quadratic in the length, and Python
+# refuses both beyond sys.get_int_max_str_digits() (4300 by default).  Below
+# about 4000 digits they are used as is; longer ints are parsed by halves and
+# printed through decimal, both subquadratic, without touching that limit.
+_STR_BITS = 13_000  # 2^13000 has 3914 digits
+_LEAF_BITS = 4096   # the widest leaf of the decimal conversion
+
+
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q" or "p" into an exact reduced fraction."""
+    """Parse "p/q" or "p" into an exact reduced fraction, of any length."""
     text = text.strip()
     if "/" in text:
         num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(parse_int(num), parse_int(den))
+    return Fraction(parse_int(text))
 
 
-# str() of an int is quadratic in its length, and Python refuses it beyond
-# sys.get_int_max_str_digits() (4300 by default).  Below about 4000 digits
-# str() is used as is; longer ints go through decimal, whose multiplication
-# is subquadratic, without touching that global limit.
-_STR_BITS = 13_000  # 2^13000 has 3914 digits
-_LEAF_BITS = 4096   # the widest leaf of the decimal conversion
+def parse_int(text: str) -> int:
+    """``int(text)``, also for runs of digits past the digit limit."""
+    text = text.strip()
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if 10 * len(digits) <= 3 * _STR_BITS or not digits.isdecimal():
+        return int(text)  # short, or not a plain run of digits: int() decides
+    low = len(digits) // 2
+    value = parse_int(digits[:-low]) * 10**low + parse_int(digits[-low:])
+    return -value if text[0] == "-" else value
 
 
 @contextmanager
@@ -97,7 +108,7 @@ def _long_int_decimals(values: Sequence[int]) -> list[decimal.Decimal]:
 
 
 def format_rational(value: Fraction) -> str:
-    """Serialize reduced with positive denominator; integers print as "p".
+    """Serialize reduced with positive denominator; integers, and ints, print as "p".
 
     Works for rationals of millions of digits, whatever the interpreter's
     int-to-str digit limit, and leaves that limit alone.
@@ -132,7 +143,7 @@ def format_rational_scaled(value: Fraction, c: int) -> tuple[str, str]:
 def harmonic(n: int) -> Fraction:
     """n-th harmonic number 1 + 1/2 + ... + 1/n; harmonic(0) == 0."""
     if n < 0:
-        raise ValueError(f"harmonic() needs n >= 0, got {n}")
+        raise ValueError(f"harmonic() needs n >= 0, got {format_rational(n)}")
     return sum_exact(Fraction(1, k) for k in range(1, n + 1))
 
 

@@ -34,7 +34,7 @@ from math import gcd
 
 from . import _kernels
 from .greedy import DEFAULT_MAX_TERMS, greedy_completion
-from .rational import ZERO, EgyptianRep, harmonic
+from .rational import ZERO, EgyptianRep, format_rational, harmonic
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -51,7 +51,8 @@ class ShorterRepresentationError(ValueError):
     """q was expected to need exactly n terms but a shorter witness exists."""
 
     def __init__(self, q: Fraction, terms: int, witness: EgyptianRep):
-        super().__init__(f"{q} already has the {terms}-term representation {witness.denominators}")
+        denoms = ", ".join(map(format_rational, witness.denominators)) + "," * (terms == 1)
+        super().__init__(f"{format_rational(q)} already has the {terms}-term representation ({denoms})")
         self.q = q
         self.terms = terms
         self.witness = witness
@@ -67,6 +68,16 @@ class _Budget:
         self.left -= amount
         if self.left < 0:
             raise NodeBudgetExceeded("search node budget exhausted")
+
+    def require(self, need: int, what: str, *args: int) -> None:
+        """Raise ``NodeBudgetExceeded`` if need, a lower bound on the units the
+        work ``what % args`` must spend, passes the budget left.  The message is
+        built only then, and prints a count past 64 bits as a power 2^k <= it."""
+        if need > self.left:
+            need_text, left_text = (
+                str(v) if v >> 64 == 0 else f"2^{v.bit_length() - 1}" for v in (need, self.left))
+            raise NodeBudgetExceeded(f"node budget exhausted: {what % args} needs at least "
+                                     f"{need_text} more units, {left_text} left")
 
 
 def _floor_recip(value: Fraction) -> int:
@@ -129,13 +140,13 @@ def best_underapprox(
     """
     x = Fraction(x)
     if x <= 0:
-        raise ValueError(f"best_underapprox() needs x > 0, got {x}")
+        raise ValueError(f"best_underapprox() needs x > 0, got {format_rational(x)}")
     if n < 0:
-        raise ValueError(f"best_underapprox() needs n >= 0, got {n}")
+        raise ValueError(f"best_underapprox() needs n >= 0, got {format_rational(n)}")
     if n == 0:
         return ZERO, EgyptianRep(())
     if n > DEFAULT_MAX_TERMS:
-        raise ValueError(f"n={n} exceeds the term limit {DEFAULT_MAX_TERMS}")
+        raise ValueError(f"n={format_rational(n)} exceeds the term limit {DEFAULT_MAX_TERMS}")
     hn = harmonic(n)
     if x > hn:
         return hn, EgyptianRep(tuple(range(1, n + 1)))
@@ -168,12 +179,8 @@ def best_underapprox(
         # 1/a + 1/(a+1) < 2/a; unless m + left - 1 <= 2/g the budget
         # reaches past that, and the isqrt is skipped
         if r > 2 or (m + budget.left - 1) * gap_n <= 2 * gap_d:
-            need = _certain_work(gap_n, gap_d, r, m, budget.left)
-            if need > budget.left:
-                raise NodeBudgetExceeded(
-                    f"search node budget exhausted: the {r}-term subtree at "
-                    f"{prefix} needs at least {need} more units, {budget.left} left"
-                )
+            budget.require(_certain_work(gap_n, gap_d, r, m, budget.left),
+                           "the %d-term subtree at depth %d", r, k)
         if r == 2:
             # the kernel sees the same reduced rem = x - p and thr = inc - p
             # as Fraction arithmetic would give it
@@ -226,7 +233,7 @@ def has_representation(
     denominators <= max_denom, or None if there is none."""
     q = Fraction(q)
     if q <= 0:
-        raise ValueError(f"has_representation() needs q > 0, got {q}")
+        raise ValueError(f"has_representation() needs q > 0, got {format_rational(q)}")
     if j < 1:
         raise ValueError(f"has_representation() needs j >= 1, got {j}")
     found = _representation(q.numerator, q.denominator, j, 1, max_denom, _Budget(node_budget))
@@ -319,11 +326,12 @@ def next_point_above(
     if q <= 0:
         # There is no minimal Egyptian sum above 0; 0 is only a best value
         # at level 0, where every point belongs to the single cell (0, inf).
-        raise ValueError(f"next_point_above() needs q > 0, got {q}")
+        raise ValueError(f"next_point_above() needs q > 0, got {format_rational(q)}")
     if n < 1:
         raise ValueError(f"next_point_above() needs n >= 1, got {n}")
     if q >= harmonic(n):
-        raise ValueError(f"next_point_above() needs q < H_{n} = {harmonic(n)}, got {q}")
+        raise ValueError(f"next_point_above() needs q < H_{n} = {format_rational(harmonic(n))}, "
+                         f"got {format_rational(q)}")
     budget = _Budget(node_budget)
     if check:
         for jj in range(1, n):
@@ -331,7 +339,7 @@ def next_point_above(
             if witness is not None:
                 raise ShorterRepresentationError(q, jj, EgyptianRep(tuple(witness)))
         if _representation(q.numerator, q.denominator, n, 1, None, budget) is None:
-            raise ValueError(f"{q} has no {n}-term representation")
+            raise ValueError(f"{format_rational(q)} has no {n}-term representation")
     cutoff = q + Fraction(1, n * (n + 1))
     best: Fraction | None = None
     for j in range(1, n + 1):
@@ -339,6 +347,6 @@ def next_point_above(
         if cand is not None and (best is None or cand < best):
             best = cand
     if best is None:
-        raise ValueError(f"no sum of at most {n} unit fractions lies in ({q}, {cutoff}]: "
-                         f"{q} is not a level-{n} best value")
+        raise ValueError(f"no sum of at most {n} unit fractions lies in ({format_rational(q)}, "
+                         f"{format_rational(cutoff)}]: {format_rational(q)} is not a level-{n} best value")
     return best

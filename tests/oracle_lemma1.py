@@ -6,14 +6,15 @@ the paper loop builds every x_k as a ``Fraction`` and checks each
 inequality on ``Fraction`` values, the exact measure adds ``Fraction``
 parts, ``fraction_sum`` is the pairwise ``Fraction`` summation, and
 ``min_competitors`` collects every competitor pair in a dict and sorts
-it.  ``tests/test_lemma1.py`` and ``tests/test_kernels.py`` diff the
+it.  The direct loop, like the paper loop, takes every x_k from its own
+``xk`` and checks it in ``Fraction`` arithmetic, with the kernel's
+messages.  ``tests/test_lemma1.py`` and ``tests/test_kernels.py`` diff the
 integer and streaming code against them, value for value and error
 message for error message.
 """
 
 from fractions import Fraction
 
-from egy import _kernels
 from egy.lemma1 import CertificateError
 
 _ONE_THIRD = Fraction(1, 3)
@@ -98,9 +99,22 @@ def paper_certificate(i):
 
 
 def direct_certificate(i):
-    """(certified measure, term count) of direct mode."""
-    terms = _kernels.direct_mode_terms(i)
-    return fraction_sum(Fraction(num, den) for _, num, den in terms), len(terms)
+    """(certified measure, term count) of direct mode: the right part
+    1/floor(x_k) - 1/x_k of every non-integer x_k, k = 0..floor(N/10),
+    once x_k >= N and x_k - x_(k-1) > 1 are checked."""
+    big = i * (i + 1)
+    parts = []
+    prev = None
+    for k in range(big // 10 + 1):
+        x_val = xk(i, k)
+        if x_val < big:
+            raise ArithmeticError(f"x_k < i(i+1) at i={i}, k={k}")
+        if prev is not None and x_val - prev <= 1:
+            raise ArithmeticError(f"spacing x_k - x_(k-1) <= 1 at i={i}, k={k}")
+        if x_val.denominator != 1:
+            parts.append(Fraction(1, x_val.numerator // x_val.denominator) - 1 / x_val)
+        prev = x_val
+    return fraction_sum(parts), len(parts)
 
 
 def min_competitors(i):

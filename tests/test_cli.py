@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -12,7 +13,9 @@ from egy.cli import _build_parser, main
 
 
 def run(capsys, *argv):
+    limit = sys.get_int_max_str_digits()
     code = main(list(argv))
+    assert sys.get_int_max_str_digits() == limit  # main changes no interpreter state
     out, err = capsys.readouterr()
     return code, out, err
 
@@ -116,6 +119,19 @@ def test_budget_exhausted_exit_3(capsys):
     assert "budget" in err
 
 
+def test_fail_fast_message_is_short(capsys):
+    # the bound passes 2^16000 units, and the message prints it as a power of
+    # two under the default int-to-str digit limit
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "best", "1/4294967296", "11", "--node-budget", "30000")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 3 and out == ""
+    assert len(err.encode()) < 300 and "needs at least 2^" in err
+
+
 CERTIFICATE_COMMANDS = [
     ("lemma1", "1000", "--mode", "paper"),
     ("lemma1", "1000", "--mode", "direct"),
@@ -143,6 +159,16 @@ def test_huge_certificate_exits_3_fast(argv):
                           capture_output=True, text=True, env=env, timeout=10)
     assert proc.returncode == 3, proc.stderr
     assert proc.stdout == "" and "needs at least" in proc.stderr
+
+
+def test_greedy_with_long_denominators_is_fast():
+    # 3.7 MB of output, with denominators of up to 2 million bits
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-m", "egy", "greedy", "1/1" + "0" * 300, "12"],
+                          capture_output=True, env=env, timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith(b'{"rep": [1' + b"0" * 299 + b"1, ")  # its bytes are pinned below
 
 
 def test_bad_subcommand_exit_2(capsys):
@@ -220,8 +246,10 @@ def test_global_flags_on_either_side(capsys):
 # sha256 of stdout, recorded before the certificates moved onto integer
 # pairs (the certificate commands print rationals of up to 95,000
 # characters), for sample before searches raised on over-budget subtrees,
-# and for regular, cell and the lemma decay bound before the regular
-# numbers took the closed-form Sylvester tail
+# for regular, cell and the lemma decay bound before the regular numbers
+# took the closed-form Sylvester tail, and for the last three before every
+# int was printed and parsed by egy.rational (10^k stands for the digits;
+# those commands read and print ints past the 4300-digit int-to-str limit)
 GOLDEN_STDOUT = [
     (("lemma1", "1000", "--mode", "paper"),
      "535d46e9de65e0d0c68896c29e4d25e0cd21fabc0fab3aa3b3ddee658aa449ae"),
@@ -247,12 +275,19 @@ GOLDEN_STDOUT = [
      "3afd17af1e30fdfee20301032d82aec12ee576ee82e745c669ce1ff0936653af"),
     (("decay", "1/3", "1003/3000", "31", "--imax", "10000000"),
      "67b89231b0e5fa2f9342d9908d032ffd2b1a57d191c6caf004adabab1102a4c0"),
+    (("greedy", "1/10^300", "12"),
+     "1708227793af2f395e5313e4ff23752718cbe9ed1c2f50b02fbe324356ec5cfe"),
+    (("cell", "1/10^5000", "1"),
+     "8d0657f902204271cc62152ba5ae4198df42709d2e16a28ab68748f165a65ffa"),
+    (("--csv", "cells", "1/10^5000", "3/10^5000", "1", "--max-cells", "3"),
+     "bf018fa558b216e0be832af55685e0ad33774fbce61528953c687861b72135f1"),
 ]
 
 
 @pytest.mark.parametrize("argv, digest", GOLDEN_STDOUT,
                          ids=[" ".join(argv) for argv, _ in GOLDEN_STDOUT])
 def test_golden_stdout_bytes(capsys, argv, digest):
+    argv = [re.sub(r"10\^(\d+)", lambda m: "1" + "0" * int(m.group(1)), arg) for arg in argv]
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     assert hashlib.sha256(out.encode()).hexdigest() == digest

@@ -186,6 +186,8 @@ def test_format_long_ints_match_str(bits, seed, form, negative):
     assert _with_digit_limit(4300, lambda: format_rational(value)) == expected
     assert _with_digit_limit(4300, lambda: format_rational(Fraction(n))) == (
         _with_digit_limit(0, lambda: str(n)))
+    # and parse_rational reads the text back, under the same default limit
+    assert _with_digit_limit(4300, lambda: parse_rational(expected)) == value
 
 
 @settings(max_examples=30, deadline=None)
@@ -219,5 +221,5 @@ def test_certificate_serializes_under_default_digit_limit():
     report = lemma1_certificate(1000, "paper")
     out = _with_digit_limit(4300, report.to_dict)
     assert len(out["certified_measure"]) > 4300
-    assert _with_digit_limit(0, lambda: parse_rational(out["certified_measure"])) == (
+    assert _with_digit_limit(4300, lambda: parse_rational(out["certified_measure"])) == (
         report.certified_measure)

@@ -1,5 +1,6 @@
 import re
 import signal
+import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
@@ -237,12 +238,31 @@ def test_next_point_above_precondition_violations():
     with pytest.raises(ShorterRepresentationError) as info:
         next_point_above(Fraction(1, 2), 2)  # 1/2 is already a unit fraction
     assert tuple(info.value.witness) == (2,)
+    assert str(info.value) == "1/2 already has the 1-term representation (2,)"
     with pytest.raises(ValueError):
         next_point_above(Fraction(2, 7), 1)  # not a unit fraction
     with pytest.raises(ValueError):
         next_point_above(Fraction(0), 1)
     with pytest.raises(ValueError):
         next_point_above(Fraction(-1, 2), 1)
+
+
+def test_raises_name_long_operands_under_the_default_digit_limit():
+    # the fail-fast bounds here pass 2^16000 units, and q and its witness
+    # have 5001 digits: each call raises its own error, not the
+    # interpreter's int-to-str ValueError
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        for args in [(Fraction(1, 10**30), 12), (Fraction(1, 2**32), 11, 30000)]:
+            with pytest.raises(NodeBudgetExceeded) as info:
+                best_underapprox(*args)
+            assert len(str(info.value)) < 300 and "needs at least 2^" in str(info.value)
+        with pytest.raises(ShorterRepresentationError) as info:
+            next_point_above(Fraction(1, 10**5000), 2)
+        assert tuple(info.value.witness) == (10**5000,)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_next_point_above_rejects_values_without_a_next_point():
