@@ -11,11 +11,26 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .rational import ZERO, EgyptianRep, format_rational
+from .rational import ZERO, EgyptianRep, format_rational, harmonic
 
-# Greedy denominators grow doubly exponentially (43 -> 1807 -> 3263443 ...);
-# the cap guards against adversarial term counts, not memory-per-term.
+# The largest level (term count) every engine accepts, checked by
+# level_harmonic before any work.  Denominators grow doubly exponentially
+# with the level (greedy: 43 -> 1807 -> 3263443 ...), so past it one value
+# or one search node can cost unbounded time.
 DEFAULT_MAX_TERMS = 12
+
+
+def level_harmonic(n: int, least: int, caller: str, name: str = "n") -> Fraction:
+    """H_n, once least <= n <= DEFAULT_MAX_TERMS holds, else ValueError.
+
+    Every engine calls this on its level argument before any sum or search,
+    so an out-of-range level is rejected in O(1) whatever its size.
+    """
+    if n < least:
+        raise ValueError(f"{caller}() needs {name} >= {least}, got {format_rational(n)}")
+    if n > DEFAULT_MAX_TERMS:
+        raise ValueError(f"{name}={format_rational(n)} exceeds the term limit {DEFAULT_MAX_TERMS}")
+    return harmonic(n)
 
 
 def greedy_completion(
@@ -43,10 +58,7 @@ def _greedy_terms(x: Fraction, n: int) -> tuple[list[int], Fraction]:
     """The first n greedy denominators of x > 0 and their exact sum."""
     if x <= 0:
         raise ValueError(f"greedy_underapprox() needs x > 0, got {format_rational(x)}")
-    if n < 0:
-        raise ValueError(f"greedy_underapprox() needs n >= 0, got {format_rational(n)}")
-    if n > DEFAULT_MAX_TERMS:
-        raise ValueError(f"n={format_rational(n)} exceeds the term limit {DEFAULT_MAX_TERMS}")
+    level_harmonic(n, 0, "greedy_underapprox")
     return greedy_completion(Fraction(x), n)
 
 

@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .greedy import level_harmonic
 from .lemma1 import exact_measure
 from .partition import Cell
 from .rational import ZERO, ONE, EgyptianRep, format_rational, harmonic
@@ -78,6 +79,7 @@ def chain_check(
     x = Fraction(x)
     if not 0 <= n0 < t:
         raise ValueError(f"need 0 <= n0 < t, got n0={format_rational(n0)}, t={format_rational(t)}")
+    level_harmonic(t, 1, "chain_check", "t")  # n0 < t, so harmonic(n0) is in range
     if x <= 0:
         raise ValueError(f"chain_check() needs x > 0, got {format_rational(x)}")
     if n0 >= 1 and x > harmonic(n0):
@@ -203,16 +205,15 @@ def sample_chain_density(
     draw per sample in order.  Samples whose solver budget runs out are
     counted as undecided and excluded from the fraction.
     """
-    if s < 1:
-        raise ValueError(f"sample_chain_density() needs s >= 1, got {format_rational(s)}")
+    hs = level_harmonic(s, 1, "sample_chain_density", "s")
     if t <= s:
         raise ValueError(f"sample_chain_density() needs t > s, got s={format_rational(s)}, "
                          f"t={format_rational(t)}")
+    level_harmonic(t, 1, "sample_chain_density", "t")
     if count < 1:
         raise ValueError(f"sample_chain_density() needs count >= 1, got {format_rational(count)}")
     if bits < 16:
         raise ValueError(f"sample_chain_density() needs bits >= 16, got {format_rational(bits)}")
-    hs = harmonic(s)
     scale = 1 << bits
     top = (hs.numerator * scale) // hs.denominator
     rng = random.Random(seed)

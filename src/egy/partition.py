@@ -19,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .greedy import DEFAULT_MAX_TERMS
-from .rational import ZERO, EgyptianRep, format_rational, harmonic
+from .greedy import level_harmonic
+from .rational import ZERO, EgyptianRep, format_rational
 from .search import best_underapprox, next_point_above
 
 
@@ -65,9 +65,7 @@ def cell_of(x: Fraction, n: int, node_budget: int | None = None) -> Cell:
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"cell_of() needs x > 0, got {format_rational(x)}")
-    if n < 1:
-        raise ValueError(f"cell_of() needs n >= 1, got {format_rational(n)}")
-    hn = harmonic(n)
+    hn = level_harmonic(n, 1, "cell_of")
     if x > hn:
         return Cell(level=n, lower=hn, upper=None, best_rep=None)
     lower, rep = best_underapprox(x, n, node_budget)
@@ -94,7 +92,7 @@ def cells_in_window(
     right endpoint is searched for; node_budget caps each of those calls.
     """
     a, b = Fraction(a), Fraction(b)
-    if not 0 < a < b <= harmonic(n):
+    if not 0 < a < b <= level_harmonic(n, 1, "cells_in_window"):
         raise ValueError(f"need 0 < a < b <= harmonic({n}), got a={format_rational(a)}, "
                          f"b={format_rational(b)}")
     if max_cells < 0:
@@ -180,16 +178,12 @@ def next_regular_above(x: Fraction, n: int) -> Fraction:
     constrained terms); the infimum of regular values >= x is not always
     attained (tails can shrink toward a limit), so the canonical greedy
     descent value per branch is used.  The returned value always satisfies
-    the 1/(n(n+1)) density bound.  n is capped at the term limit of the
-    searches, ``DEFAULT_MAX_TERMS``: the values' denominators grow doubly
-    exponentially in n.
+    the 1/(n(n+1)) density bound.  n is checked against the term limit
+    first, as by every engine (``greedy.level_harmonic``): the values'
+    denominators grow doubly exponentially in n.
     """
     x = Fraction(x)
-    if n < 1:
-        raise ValueError(f"next_regular_above() needs n >= 1, got {format_rational(n)}")
-    if n > DEFAULT_MAX_TERMS:
-        raise ValueError(f"n={format_rational(n)} exceeds the term limit {DEFAULT_MAX_TERMS}")
-    hn = harmonic(n)
+    hn = level_harmonic(n, 1, "next_regular_above")
     if not 0 < x <= hn:
         raise ValueError(f"need 0 < x <= harmonic({n}), got {format_rational(x)}")
     window_hi = x + Fraction(1, n * (n + 1))

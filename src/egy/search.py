@@ -33,8 +33,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import _kernels
-from .greedy import DEFAULT_MAX_TERMS, greedy_completion
-from .rational import ZERO, EgyptianRep, format_rational, harmonic
+from .greedy import greedy_completion, level_harmonic
+from .rational import ZERO, EgyptianRep, format_rational
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -141,14 +141,8 @@ def best_underapprox(
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"best_underapprox() needs x > 0, got {format_rational(x)}")
-    if n < 0:
-        raise ValueError(f"best_underapprox() needs n >= 0, got {format_rational(n)}")
-    if n == 0:
-        return ZERO, EgyptianRep(())
-    if n > DEFAULT_MAX_TERMS:
-        raise ValueError(f"n={format_rational(n)} exceeds the term limit {DEFAULT_MAX_TERMS}")
-    hn = harmonic(n)
-    if x > hn:
+    hn = level_harmonic(n, 0, "best_underapprox")
+    if x > hn:  # n = 0 always lands here: H_0 = 0 < x
         return hn, EgyptianRep(tuple(range(1, n + 1)))
     if n == 1:
         m = _floor_recip(x) + 1
@@ -234,8 +228,7 @@ def has_representation(
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"has_representation() needs q > 0, got {format_rational(q)}")
-    if j < 1:
-        raise ValueError(f"has_representation() needs j >= 1, got {j}")
+    level_harmonic(j, 1, "has_representation", "j")
     found = _representation(q.numerator, q.denominator, j, 1, max_denom, _Budget(node_budget))
     return None if found is None else EgyptianRep(tuple(found))
 
@@ -327,10 +320,9 @@ def next_point_above(
         # There is no minimal Egyptian sum above 0; 0 is only a best value
         # at level 0, where every point belongs to the single cell (0, inf).
         raise ValueError(f"next_point_above() needs q > 0, got {format_rational(q)}")
-    if n < 1:
-        raise ValueError(f"next_point_above() needs n >= 1, got {n}")
-    if q >= harmonic(n):
-        raise ValueError(f"next_point_above() needs q < H_{n} = {format_rational(harmonic(n))}, "
+    hn = level_harmonic(n, 1, "next_point_above")
+    if q >= hn:
+        raise ValueError(f"next_point_above() needs q < H_{n} = {format_rational(hn)}, "
                          f"got {format_rational(q)}")
     budget = _Budget(node_budget)
     if check:

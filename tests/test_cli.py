@@ -112,6 +112,17 @@ def test_invalid_input_exit_2(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", ["chain 11/24 0 13", "sample 2 13 --count 3 --node-budget 1000"],
+                         ids=lambda argv: argv.split()[0])
+def test_level_past_the_term_limit_exits_2_before_any_search(capsys, argv):
+    # t is checked first: the chain would run out of budget at level 6
+    # (exit 3), and the sample would report its draws' verdicts (exit 0)
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert "t=13 exceeds the term limit 12" in err
+
+
 def test_budget_exhausted_exit_3(capsys):
     code, out, err = run(capsys, "--node-budget", "2", "best", "11/24", "3")
     assert code == 3

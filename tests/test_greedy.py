@@ -89,7 +89,8 @@ def test_value_and_gap_match_rep_value(rng):
 
 @pytest.mark.parametrize("call", [greedy_value, greedy_gap])
 def test_value_and_gap_validate_arguments(call):
-    for x, n in ((Fraction(0), 1), (Fraction(-1, 2), 1), (Fraction(1, 2), -1),
-                 (Fraction(1, 2), DEFAULT_MAX_TERMS + 1)):
-        with pytest.raises(ValueError):
+    for x, n, message in ((Fraction(0), 1, "needs x > 0"), (Fraction(-1, 2), 1, "needs x > 0"),
+                          (Fraction(1, 2), -1, "needs n >= 0"),
+                          (Fraction(1, 2), DEFAULT_MAX_TERMS + 1, "n=13 exceeds the term limit 12")):
+        with pytest.raises(ValueError, match=message):
             call(x, n)

@@ -196,12 +196,20 @@ def test_next_regular_above_term_limit():
         next_regular_above(Fraction(1, 2), 13)
 
 
-def test_regular_cli_exits_2_past_the_term_limit():
-    # unbounded, n = 24 ran for minutes and printed megabytes
+@pytest.mark.parametrize("argv", [
+    "regular 1/2 24",
+    "cell 1/2 2000000",
+    "cells 1/4 1/3 2000000",
+    "chain 1/2 200000 200001",
+    "sample 200000 200001 --count 1",
+], ids=lambda argv: argv.split()[0])
+def test_regular_cli_exits_2_past_the_term_limit(argv):
+    # the level is checked before any work: regular 1/2 24 would run for
+    # minutes and print megabytes, and cell 1/2 2000000 would sum H_2000000
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     t0 = time.time()
-    proc = subprocess.run([sys.executable, "-m", "egy", "regular", "1/2", "24"],
+    proc = subprocess.run([sys.executable, "-m", "egy", *argv.split()],
                           capture_output=True, text=True, env=env, timeout=10)
     assert time.time() - t0 < 10
     assert proc.returncode == 2, proc.stderr

@@ -10,7 +10,9 @@ import oracle_has_rep
 import oracle_min_above
 from conftest import random_rational
 from egy import search
-from egy.greedy import greedy_value
+from egy.greedy import greedy_underapprox, greedy_value
+from egy.measure import chain_check, sample_chain_density
+from egy.partition import cell_of, cells_in_window, next_regular_above
 from egy.rational import harmonic
 from egy.search import (
     NodeBudgetExceeded,
@@ -226,6 +228,29 @@ def test_has_representation_raises_within_its_budget():
     with _deadline(1.0):
         with pytest.raises(NodeBudgetExceeded):
             has_representation(Fraction(3, 1000003), 2, node_budget=10**5)
+
+
+def test_every_engine_checks_the_term_limit_before_any_work():
+    # every level argument is checked against the limit of 12 before any
+    # sum or search: has_representation(2/3, 30) would spend minutes on
+    # thousand-bit denominators, and chain_check(11/24, 0, 13) would run
+    # out of budget at level 6 before it reached level 13
+    half = Fraction(1, 2)
+    table = [
+        (best_underapprox, (half, 13)),
+        (greedy_underapprox, (half, 13)),
+        (next_regular_above, (half, 13)),
+        (has_representation, (Fraction(2, 3), 30, None, 10**5)),
+        (next_point_above, (half, 13)),
+        (cell_of, (half, 13)),
+        (cells_in_window, (Fraction(1, 4), Fraction(1, 3), 13)),
+        (chain_check, (Fraction(11, 24), 0, 13)),
+        (sample_chain_density, (2, 13, 3, 0, 32, 1000)),
+    ]
+    for engine, args in table:
+        with _deadline(1.0):
+            with pytest.raises(ValueError, match=r"^[ntj]=(13|30) exceeds the term limit 12$"):
+                engine(*args)
 
 
 def test_next_point_above_examples():
