@@ -14,21 +14,23 @@ its measure are provided:
 * ``exact``  -- full competitor enumeration: the exact measure of N_i.
 
 All arithmetic is exact and on integers: each check is a cross-multiplied
-inequality on x_k = p/q, each mode's terms stream as reduced (num, den)
-pairs into the summation stack of ``egy.rational`` as they are produced,
-and the certified measure becomes a ``Fraction`` once, at the end.  No
-mode holds its terms or competitors in a list: a certificate keeps O(i)
-state besides its result.  Any verification failure raises
-CertificateError naming the violated inequality and its witness, at the
-term where it happens.  The enumerations are charged to the node budget,
-in closed form, before they start.
+inequality on x_k = p/q, each mode's terms stream as raw (num, den)
+pairs, not reduced, into the summation stack of ``egy.rational`` as they
+are produced, and the certified measure becomes a ``Fraction`` once, at
+the end.  Their denominators are a small power of i (67 bits for the
+paper and direct terms at i = 2048), far below the 1024 bits from which
+``sum_pairs`` wants pairs reduced, so it reduces them by one gcd per run
+of terms.  No mode holds its terms or competitors in a list: a
+certificate keeps O(i) state besides its result.  Any verification
+failure raises CertificateError naming the violated inequality and its
+witness, at the term where it happens.  The enumerations are charged to
+the node budget, in closed form, before they start.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 from typing import Iterator
 
 from . import _kernels
@@ -79,11 +81,6 @@ def xk(i: int, k: int) -> Fraction:
     return Fraction(big * (big + 2 * k), big - 2 * k)
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    g = gcd(num, den)
-    return num // g, den // g
-
-
 def _paper_range(i: int) -> tuple[int, int]:
     """The l of the paper certificate: ceil(N/100) .. floor(3N/200)."""
     big = i * (i + 1)
@@ -91,7 +88,7 @@ def _paper_range(i: int) -> tuple[int, int]:
 
 
 def _paper_terms(i: int) -> Iterator[tuple[int, int]]:
-    """The selected right parts of the paper certificate, as reduced pairs.
+    """The selected right parts of the paper certificate, as raw pairs.
 
     For each l in [ceil(N/100), floor(3N/200)] one of x_2l, x_2l+1 is
     picked and checked, and its right part is yielded before the next l
@@ -143,7 +140,7 @@ def _paper_terms(i: int) -> Iterator[tuple[int, int]]:
             raise CertificateError(
                 f"right part {format_rational(Fraction(num, den))} <= 25/(108 i^4) at i={i}, k={k}"
             )
-        yield _reduced(num, den)
+        yield num, den
 
 
 def _paper_certificate(i: int) -> tuple[Fraction, int]:
@@ -161,7 +158,7 @@ def _direct_certificate(i: int) -> tuple[Fraction, int]:
         nonlocal count
         for _, num, den in _kernels.iter_direct_terms(i):
             count += 1
-            yield _reduced(num, den)
+            yield num, den
 
     return sum_pairs(terms()), count
 
@@ -208,7 +205,7 @@ def exact_measure(slices: range, node_budget: int | None, what: str) -> tuple[Fr
                 right_den = i * (j - 1)
                 num = (i + j - 1) * s_den - s_num * right_den
                 if num > 0:
-                    yield _reduced(num, right_den * s_den)
+                    yield num, right_den * s_den
 
     return sum_pairs(parts()), cells
 

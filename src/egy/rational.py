@@ -4,10 +4,14 @@ Every quantity in this package is an exact ``fractions.Fraction`` -- there is
 no floating point anywhere.  This module adds the handful of primitives the
 rest of the code is built on: harmonic numbers, the representation type for
 sums of distinct unit fractions, string (de)serialization in ``p/q`` form,
-and the one exact summation path: a balanced tree over reduced integer
-(num, den) pairs, built on a stack of O(log n) partial sums as the pairs
-stream in.  The certificate modules feed it generators of up to about a
-million terms, and ``sum_exact`` adapts it to ``Fraction`` values.
+and the one exact summation path over integer (num, den) pairs.  Pairs
+with a narrow denominator need not be reduced: runs of consecutive ones
+are added by plain cross-multiplication and reduced by one gcd per run.
+Pairs with a wide denominator must already be reduced, and join as they
+are.  The reduced run sums are merged in a balanced tree, built on a
+stack of O(log n) partial sums as the pairs stream in.  The certificate
+modules feed it generators of up to about a million raw terms, and
+``sum_exact`` adapts it to ``Fraction`` values.
 """
 
 from __future__ import annotations
@@ -203,27 +207,39 @@ def _add_reduced(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
 
 
 _CHUNK = 1024  # pairs folded level by level before they join the stack
+_WIDE = 1 << 1023  # a denominator of 1024 bits or more is wide
+_RUN_END = 1 << 2047  # a run is reduced once its denominator has 2048 bits
 
 
 def sum_pairs(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of reduced (num, den) pairs with den > 0, from any iterable.
+    """Exact sum of (num, den) pairs with den > 0, from any iterable.
 
-    Neighbours are merged level by level, so huge denominators multiply at
-    log depth; sequential addition is quadratic in the size of the running
-    denominator, which matters for the Lemma-1 sums.  The pairs are read
-    in chunks of ``_CHUNK``; each chunk's sum goes on a binary-counter
-    stack, where two sums of equally many chunks merge at once.  So the
-    stack holds O(log n) partial sums, and a stream of pairs is never
-    held whole.  Every merge keeps its sum reduced, so the result becomes
-    a ``Fraction`` without another gcd.
+    A pair whose denominator has fewer than 1024 bits is narrow and need
+    not be reduced.  Consecutive narrow pairs are added by plain
+    cross-multiplication, with no gcd, until the run's denominator
+    reaches 2048 bits; then the run is reduced by one gcd.  So the
+    Lemma-1 terms, of tens of bits each, pay one gcd per few dozen terms,
+    and no run's product passes 3072 bits.  A wide pair must already be
+    reduced (``Fraction`` parts are): it closes the current run and joins
+    as it is, so huge ``Fraction`` values are never multiplied together
+    unreduced.
+
+    The reduced run sums are merged level by level, so huge denominators
+    multiply at log depth; sequential addition is quadratic in the size
+    of the running denominator, which matters for the Lemma-1 sums.  The
+    pairs are read in chunks of ``_CHUNK``; each chunk's sum goes on a
+    binary-counter stack, where two sums of equally many chunks merge at
+    once.  So the stack holds O(log n) partial sums, and a stream of pairs
+    is never held whole.  Every merge keeps its sum reduced, so the result
+    becomes a ``Fraction`` without another gcd.
     """
     it = iter(pairs)
     items = list(islice(it, _CHUNK))
     if len(items) < _CHUNK:  # one chunk holds it all, as in most calls
-        return _from_reduced(*_fold(items)) if items else ZERO
+        return _from_reduced(*_fold(_runs(items))) if items else ZERO
     stack: list[tuple[int, int, int]] = []  # (chunks summed, num, den)
     while items:
-        size, (num, den) = 1, _fold(items)
+        size, (num, den) = 1, _fold(_runs(items))
         while stack and stack[-1][0] == size:
             _, an, ad = stack.pop()
             num, den = _add_reduced(an, ad, num, den)
@@ -235,6 +251,28 @@ def sum_pairs(pairs: Iterable[tuple[int, int]]) -> Fraction:
         _, an, ad = stack.pop()
         num, den = _add_reduced(an, ad, num, den)
     return _from_reduced(num, den)
+
+
+def _runs(items: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The chunk as reduced pairs, in order: each run of narrow pairs
+    summed and reduced by one gcd, and each wide pair as it is."""
+    out = []
+    num, den, open_run = 0, 1, False
+    for a, b in items:
+        if b < _WIDE:
+            num, den, open_run = num * b + a * den, den * b, True
+            if den < _RUN_END:
+                continue
+        if open_run:
+            g = gcd(num, den)
+            out.append((num // g, den // g))
+            num, den, open_run = 0, 1, False
+        if b >= _WIDE:
+            out.append((a, b))
+    if open_run:
+        g = gcd(num, den)
+        out.append((num // g, den // g))
+    return out
 
 
 def _fold(items: list[tuple[int, int]]) -> tuple[int, int]:

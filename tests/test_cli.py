@@ -266,6 +266,10 @@ GOLDEN_STDOUT = [
      "535d46e9de65e0d0c68896c29e4d25e0cd21fabc0fab3aa3b3ddee658aa449ae"),
     (("lemma1", "300", "--mode", "direct"),
      "693a15a69994edd460274e9ca48b35b8709cad9330b9c8d47ff8323eed2b25e1"),
+    (("lemma1", "2048", "--mode", "paper"),
+     "e17623e557a27d114c9d87fa0ad9d6751ae7a1911b415d96b4260bb33d58a014"),
+    (("lemma1", "400", "--mode", "direct"),
+     "48a0378d43311fc4a4202fdc83c9d1494b976d4a71d69823f754e051e5e66665"),
     (("lemma1", "120", "--mode", "exact"),
      "62209908c71e69d333bc678f5b927285e642cca9ccaaebc335cfb2e0492f98c2"),
     (("nongreedy", "120"),

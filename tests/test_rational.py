@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import egy.rational
 from egy.lemma1 import lemma1_certificate
 from egy.rational import (
+    _WIDE,
     EgyptianRep,
     format_rational,
     format_rational_scaled,
@@ -120,6 +122,90 @@ def test_sum_pairs_on_one_shot_generators(length):
     expected = sum(values, Fraction(0))
     assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
     assert gcd(total.numerator, total.denominator) == 1
+
+
+# sum_pairs takes narrow pairs unreduced and wide ones (1024 bits or more) reduced
+WIDE_BITS = _WIDE.bit_length() - 1
+narrow_values = st.one_of(st.just(Fraction(0)), rationals, shared_denominators,
+                          st.fractions(min_value=-1, max_value=1, max_denominator=2**900))
+wide_values = st.builds(lambda n, extra, odd: Fraction(2 * n + 1, odd << (WIDE_BITS + extra)),
+                        st.integers(min_value=-(10**30), max_value=10**30),
+                        st.integers(min_value=0, max_value=64), st.sampled_from([1, 3, 5, 15]))
+
+
+def _raw_pairs(values, factor):
+    """Narrow values as (num, den) scaled by one shared factor, so not
+    reduced; wide values as their reduced parts."""
+    return [(v.numerator, v.denominator) if v.denominator >= _WIDE
+            else (v.numerator * factor, v.denominator * factor) for v in values]
+
+
+def _assert_reduced_sum(total, values):
+    expected = sum(values, Fraction(0))
+    assert type(total) is Fraction
+    assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
+    assert total.denominator > 0 and gcd(total.numerator, total.denominator) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(narrow_values, narrow_values, narrow_values, wide_values), max_size=80),
+       st.integers(min_value=1, max_value=2**64))
+def test_sum_pairs_takes_unreduced_narrow_pairs(values, factor):
+    assert all(v.denominator * factor < _WIDE for v in values if v.denominator < _WIDE)
+    _assert_reduced_sum(sum_pairs(_raw_pairs(values, factor)), values)
+
+
+@pytest.mark.parametrize("length", [0, 1, 15, 16, 17, 1023, 1024, 1025, 2049])
+def test_sum_pairs_on_raw_pairs_around_runs_and_chunks(length):
+    rng = random.Random(length)
+    values = []
+    for k in range(length):
+        if k % 97 == 50:  # wide and reduced, closing a run
+            values.append(Fraction(rng.randrange(-(2**40), 2**40) * 2 + 1, 3 << WIDE_BITS))
+        else:
+            num = rng.choice((0, rng.randrange(-(10**6), 10**6), -rng.randrange(1, 2**80)))
+            values.append(Fraction(num, rng.choice((1, 6, rng.randrange(1, 2**70), rng.randrange(1, 2**900)))))
+    factor = rng.randrange(2, 2**60)
+    _assert_reduced_sum(sum_pairs(iter(_raw_pairs(values, factor))), values)
+
+
+def _count_gcd_calls(monkeypatch):
+    calls = [0]
+
+    def counting_gcd(a, b):
+        calls[0] += 1
+        return gcd(a, b)
+
+    monkeypatch.setattr(egy.rational, "gcd", counting_gcd)
+    return calls
+
+
+@pytest.mark.parametrize("case", ["one", "two", "shared 20k-bit den", "mixed widths"])
+def test_wide_fractions_pay_no_gcd_of_their_own(monkeypatch, case):
+    # wide pairs join the Knuth merges as they are: at most two gcds per merge
+    rng = random.Random(case)
+    if case == "shared 20k-bit den":
+        den = rng.getrandbits(20_000) | 1 << 20_000 | 1
+        values = [Fraction(rng.getrandbits(20_000), den) for _ in range(16)]
+    else:
+        count = {"one": 1, "two": 2, "mixed widths": 100}[case]
+        values = [Fraction(rng.getrandbits(100) * 2 + 1, 1 << rng.randrange(WIDE_BITS, 3 * WIDE_BITS))
+                  for _ in range(count)]
+    assert all(v.denominator >= _WIDE for v in values)
+    calls = _count_gcd_calls(monkeypatch)
+    total = sum_exact(values)
+    assert calls[0] <= 2 * (len(values) - 1)
+    _assert_reduced_sum(total, values)
+
+
+def test_narrow_pairs_pay_one_gcd_per_run(monkeypatch):
+    # 4096 unit fractions of up to 40 bits: a run holds 50 or more of them
+    rng = random.Random(5)
+    values = [Fraction(1, rng.randrange(1, 2**40)) for _ in range(4096)]
+    calls = _count_gcd_calls(monkeypatch)
+    total = sum_pairs((1, v.denominator) for v in values)
+    assert calls[0] < len(values) // 8
+    _assert_reduced_sum(total, values)
 
 
 def test_fraction_slots_are_the_ones_filled():
