@@ -35,7 +35,7 @@ class Cell:
 
     def __post_init__(self) -> None:
         if self.level < 1:
-            raise ValueError(f"cell level must be >= 1, got {self.level}")
+            raise ValueError(f"cell level must be >= 1, got {format_rational(self.level)}")
         if self.lower < 0:
             raise ValueError(f"cell lower endpoint must be >= 0, got {format_rational(self.lower)}")
         if self.upper is not None:
@@ -44,7 +44,7 @@ class Cell:
             cap = Fraction(1, self.level * (self.level + 1))
             if self.upper - self.lower > cap:
                 raise ValueError(
-                    f"bounded level-{self.level} cell longer than {cap}: "
+                    f"bounded level-{format_rational(self.level)} cell longer than {format_rational(cap)}: "
                     f"({format_rational(self.lower)}, {format_rational(self.upper)}]"
                 )
 

@@ -8,10 +8,12 @@ and the one exact summation path over integer (num, den) pairs.  Pairs
 with a narrow denominator need not be reduced: runs of consecutive ones
 are added by plain cross-multiplication and reduced by one gcd per run.
 Pairs with a wide denominator must already be reduced, and join as they
-are.  The reduced run sums are merged in a balanced tree, built on a
-stack of O(log n) partial sums as the pairs stream in.  The certificate
-modules feed it generators of up to about a million raw terms, and
-``sum_exact`` adapts it to ``Fraction`` values.
+are.  The reduced run sums and wide pairs go onto one stack of partial
+sums that merge by size, not by position: classes of denominator width
+strictly fall from its bottom to its top, so it holds O(log) entries as
+the pairs stream in.  The certificate modules feed it generators of up to
+about a million raw terms, and ``sum_exact`` adapts it to ``Fraction``
+values.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -164,9 +165,8 @@ class EgyptianRep:
         prev = 0
         for m in self.denominators:
             if m <= prev:
-                raise ValueError(
-                    f"denominators must be strictly increasing positive integers, got {self.denominators}"
-                )
+                raise ValueError("denominators must be strictly increasing positive integers, "
+                                 f"got ({', '.join(map(format_rational, self.denominators))})")
             prev = m
 
     def __len__(self) -> int:
@@ -206,7 +206,6 @@ def _add_reduced(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
     return t // g2, s * (bd // g2)
 
 
-_CHUNK = 1024  # pairs folded level by level before they join the stack
 _WIDE = 1 << 1023  # a denominator of 1024 bits or more is wide
 _RUN_END = 1 << 2047  # a run is reduced once its denominator has 2048 bits
 
@@ -224,28 +223,37 @@ def sum_pairs(pairs: Iterable[tuple[int, int]]) -> Fraction:
     as it is, so huge ``Fraction`` values are never multiplied together
     unreduced.
 
-    The reduced run sums are merged level by level, so huge denominators
-    multiply at log depth; sequential addition is quadratic in the size
-    of the running denominator, which matters for the Lemma-1 sums.  The
-    pairs are read in chunks of ``_CHUNK``; each chunk's sum goes on a
-    binary-counter stack, where two sums of equally many chunks merge at
-    once.  So the stack holds O(log n) partial sums, and a stream of pairs
-    is never held whole.  Every merge keeps its sum reduced, so the result
-    becomes a ``Fraction`` without another gcd.
+    Each closed run and each wide pair is pushed onto one stack of
+    reduced partial sums.  An entry's class is the bit length of its
+    denominator's bit length, and a push first merges with the top while
+    the top's class is at most its own.  So classes strictly fall from the
+    bottom of the stack to the top: it holds one entry per class at
+    most, about log2 of the widest denominator's bit length, and a stream
+    of pairs is never held whole.  Partial sums of equal size merge as in a binary
+    counter, so huge denominators multiply at log depth (sequential
+    addition is quadratic in the running denominator's size), and wide
+    values merge in the same order however many narrow runs come before
+    them.  Every merge keeps its sum reduced, so the result becomes a
+    ``Fraction`` without another gcd.
     """
-    it = iter(pairs)
-    items = list(islice(it, _CHUNK))
-    if len(items) < _CHUNK:  # one chunk holds it all, as in most calls
-        return _from_reduced(*_fold(_runs(items))) if items else ZERO
-    stack: list[tuple[int, int, int]] = []  # (chunks summed, num, den)
-    while items:
-        size, (num, den) = 1, _fold(_runs(items))
-        while stack and stack[-1][0] == size:
-            _, an, ad = stack.pop()
-            num, den = _add_reduced(an, ad, num, den)
-            size *= 2
-        stack.append((size, num, den))
-        items = list(islice(it, _CHUNK))
+    stack: list[tuple[int, int, int]] = []  # (den.bit_length().bit_length(), num, den)
+    num, den, open_run = 0, 1, False
+    for a, b in pairs:
+        if b < _WIDE:
+            num, den, open_run = num * b + a * den, den * b, True
+            if den < _RUN_END:
+                continue
+        if open_run:
+            g = gcd(num, den)
+            _push(stack, num // g, den // g)
+            num, den, open_run = 0, 1, False
+        if b >= _WIDE:
+            _push(stack, a, b)
+    if open_run:
+        g = gcd(num, den)
+        _push(stack, num // g, den // g)
+    if not stack:
+        return ZERO
     _, num, den = stack.pop()
     while stack:
         _, an, ad = stack.pop()
@@ -253,38 +261,15 @@ def sum_pairs(pairs: Iterable[tuple[int, int]]) -> Fraction:
     return _from_reduced(num, den)
 
 
-def _runs(items: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    """The chunk as reduced pairs, in order: each run of narrow pairs
-    summed and reduced by one gcd, and each wide pair as it is."""
-    out = []
-    num, den, open_run = 0, 1, False
-    for a, b in items:
-        if b < _WIDE:
-            num, den, open_run = num * b + a * den, den * b, True
-            if den < _RUN_END:
-                continue
-        if open_run:
-            g = gcd(num, den)
-            out.append((num // g, den // g))
-            num, den, open_run = 0, 1, False
-        if b >= _WIDE:
-            out.append((a, b))
-    if open_run:
-        g = gcd(num, den)
-        out.append((num // g, den // g))
-    return out
-
-
-def _fold(items: list[tuple[int, int]]) -> tuple[int, int]:
-    """The sum of a nonempty list of reduced pairs, merging neighbours
-    level by level."""
-    while len(items) > 1:
-        it = iter(items)
-        nxt = [_add_reduced(an, ad, bn, bd) for (an, ad), (bn, bd) in zip(it, it)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+def _push(stack: list[tuple[int, int, int]], num: int, den: int) -> None:
+    """Push the reduced pair num/den, first merging it with every top
+    entry whose class is at most its own."""
+    size = den.bit_length().bit_length()
+    while stack and stack[-1][0] <= size:
+        _, an, ad = stack.pop()
+        num, den = _add_reduced(an, ad, num, den)
+        size = den.bit_length().bit_length()
+    stack.append((size, num, den))
 
 
 def _from_reduced(num: int, den: int) -> Fraction:

@@ -98,6 +98,23 @@ def test_decay_rejects_imax_below_one(capsys):
     assert "i_max >= 1" in err
 
 
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_decay_cell_errors_print_under_default_digit_limit(capsys, sign):
+    # a level of 5001 digits: bounded cells of level t are no longer than
+    # 1/(t(t+1)), and levels below 1 are rejected
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        code, out, err = run(capsys, "decay", "1/3", "1/2", sign + "9" * 5001, "--imax", "10")
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert code == 2 and out == ""
+    if sign:
+        assert err.startswith("error: cell level must be >= 1, got -9999")
+    else:
+        assert err.startswith("error: bounded level-9999") and "cell longer than 1/9999" in err
+
+
 def test_sample_deterministic(capsys):
     code1, out1, _ = run(capsys, "sample", "1", "2", "--count", "20", "--seed", "5")
     code2, out2, _ = run(capsys, "--threads", "4", "sample", "1", "2", "--count", "20", "--seed", "5")

@@ -1,6 +1,7 @@
 import pickle
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -9,9 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import egy.rational
+from egy.greedy import greedy_underapprox
 from egy.lemma1 import lemma1_certificate
 from egy.rational import (
     _WIDE,
+    _add_reduced,
     EgyptianRep,
     format_rational,
     format_rational_scaled,
@@ -112,7 +115,7 @@ def test_sum_pairs_empty_and_single():
 
 @pytest.mark.parametrize("length", [0, 1, 1023, 1024, 1025, 2049])
 def test_sum_pairs_on_one_shot_generators(length):
-    # around the chunk size, where sums join the binary-counter stack
+    # streams read once, of lengths around powers of two
     rng = random.Random(length)
     values = [Fraction(rng.randrange(-(10**6), 10**6), rng.choice((1, 6, 35, rng.randrange(1, 10**9))))
               for _ in range(length)]
@@ -169,6 +172,80 @@ def test_sum_pairs_on_raw_pairs_around_runs_and_chunks(length):
     _assert_reduced_sum(sum_pairs(iter(_raw_pairs(values, factor))), values)
 
 
+def _long_stream(rng, length):
+    """Narrow values, with denominators under 2^12, and one in four wide."""
+    values = []
+    for _ in range(length):
+        if rng.randrange(4) == 0:
+            den = rng.choice((1, 3, 5, 15)) << WIDE_BITS + rng.randrange(4000)
+            values.append(Fraction(rng.getrandbits(64) * 2 + 1, den))
+        else:
+            den = rng.choice((1, 6, 35, 360, rng.randrange(1, 2**12)))
+            values.append(Fraction(rng.randrange(-(10**6), 10**6), den))
+    return values
+
+
+@pytest.mark.parametrize("lengths", [(0, 0), (1, 1), (2, 2), (3, 40), (3000, 3000)],
+                         ids=["0", "1", "2", "3-40", "3000"])
+@settings(max_examples=25, deadline=None)
+@given(st.data(), st.integers(min_value=1, max_value=2**64),
+       st.sampled_from(["ascending", "descending", "shuffled"]), st.integers(min_value=0, max_value=2**32))
+def test_merge_stack_matches_fraction_addition(lengths, data, factor, order, seed):
+    # narrow pairs scaled, so not reduced, and wide reduced ones, fed to the
+    # stack in ascending, descending or shuffled order of their denominator's
+    # width
+    low, high = lengths
+    rng = random.Random(seed)
+    if high <= 40:
+        values = data.draw(st.lists(st.one_of(narrow_values, wide_values), min_size=low, max_size=high))
+    else:
+        values = _long_stream(rng, high)
+    pairs = _raw_pairs(values, factor)
+    if order == "shuffled":
+        rng.shuffle(pairs)
+    else:
+        pairs.sort(key=lambda pair: pair[1].bit_length(), reverse=order == "descending")
+    _assert_reduced_sum(sum_pairs(iter(pairs)), values)
+
+
+def test_wide_merges_do_not_depend_on_leaf_count(monkeypatch):
+    # the greedy terms of 1/10^300 have denominators of 997 bits, then of
+    # about 2^k times as many; summed as they are, or with the first two
+    # pre-added into one leaf, the partial sums past 100k bits merge alike
+    terms = [Fraction(1, m) for m in greedy_underapprox(Fraction(1, 10**300), 11)]
+    merges = []
+
+    def logged_add_reduced(an, ad, bn, bd):
+        merges.append((ad.bit_length(), bd.bit_length()))
+        return _add_reduced(an, ad, bn, bd)
+
+    monkeypatch.setattr(egy.rational, "_add_reduced", logged_add_reduced)
+
+    def huge_merges(values):
+        merges.clear()
+        return sum_exact(values), [m for m in merges if min(m) > 100_000]
+
+    total, as_given = huge_merges(terms)
+    fused_total, fused = huge_merges([terms[0] + terms[1], *terms[2:]])
+    assert total == fused_total
+    assert as_given and as_given == fused
+
+
+def test_merge_stack_state_is_bounded_on_falling_widths():
+    # 3000 wide pairs, each narrower than the one before: the stack keeps
+    # O(log) partial sums of about the result's size, never many of the pairs
+    rng = random.Random(3)
+    pairs = ((rng.getrandbits(bits) | 1, 1 << bits) for bits in range(WIDE_BITS + 12_000, WIDE_BITS, -4))
+    tracemalloc.start()
+    try:
+        total = sum_pairs(pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert total.denominator == 1 << WIDE_BITS + 12_000
+    assert peak < 16 * (sys.getsizeof(total.numerator) + sys.getsizeof(total.denominator))
+
+
 def _count_gcd_calls(monkeypatch):
     calls = [0]
 
@@ -223,6 +300,11 @@ def test_parse_integer_forms():
     assert format_rational(Fraction(7)) == "7"
     assert parse_rational("-3/6") == Fraction(-1, 2)
     assert format_rational(Fraction(9, 20)) == "9/20"
+
+
+def test_rep_error_prints_under_default_digit_limit():
+    with pytest.raises(ValueError, match=r"strictly increasing .* got \(10000000000.*0, 1\)$"):
+        _with_digit_limit(4300, lambda: make_rep([10**5000, 1]))
 
 
 def test_rep_iter_and_len():
