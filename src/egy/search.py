@@ -19,7 +19,11 @@ Three engines:
 
 * ``next_point_above`` -- the smallest j-term Egyptian sum above a value,
   minimized over j <= n; this is the right endpoint of the partition cell
-  whose left endpoint is the given value.
+  whose left endpoint is the given value.  Its min-above searches never
+  prune against an incumbent, so their work depends on the value and j
+  alone; it counts those units exactly (``_min_above_work``) and charges
+  them before the first search, raising at once when they pass the
+  budget left.
 
 Every search spends one unit of its ``node_budget`` per node and per
 loop step, and returns the exact answer or raises ``ValueError`` (input
@@ -126,6 +130,34 @@ def _certain_work(gap_n: int, gap_d: int, r: int, m: int, limit: int) -> int:
         rn, rd = (rn - q) // m * (m + r) + q, q * (m + r)
         m += 1
     return bound
+
+
+def _min_above_work(gap_n: int, gap_d: int, r: int, m_last: int, limit: int) -> int:
+    """The units of a ``_min_jterm_above`` node, exactly: one per node and
+    one per loop step, in its whole subtree.
+
+    The node has r >= 1 terms left, gap q - p = gap_n/gap_d > 0 and last
+    denominator m_last.  Its loop never prunes against the incumbent, so
+    its work depends on these alone: a leaf costs 1; a node costs 1 plus,
+    for each child its consecutive run lets it visit, 1 for the loop step
+    and the child's work.  With r = 2 the children are the m up to
+    _kernels._last_pair_above(g, False), each a leaf.  Summing stops once
+    the count passes limit.
+    """
+    if r == 1:
+        return 1
+    m = max(m_last + 1, gap_d // gap_n + 1)
+    if r == 2:
+        return 1 + 2 * max(0, _kernels._last_pair_above(gap_n, gap_d, False) - m + 1)
+    rn, rd = _consecutive_run(m, r)
+    work = 1
+    while rn * gap_d > gap_n * rd and work <= limit:
+        work += 1 + _min_above_work(gap_n * m - gap_d, gap_d * m, r - 1, m, limit - work - 1)
+        # drop 1/m and add 1/(m+r), as in the node loop
+        q = rd // m
+        rn, rd = (rn - q) // m * (m + r) + q, q * (m + r)
+        m += 1
+    return work
 
 
 def best_underapprox(
@@ -257,21 +289,20 @@ def _representation(
     return None
 
 
-def _min_jterm_above(
-    q: Fraction, j: int, cutoff: Fraction, budget: _Budget
-) -> Fraction | None:
+def _min_jterm_above(q: Fraction, j: int, cutoff: Fraction) -> Fraction | None:
     """Minimal j-term Egyptian sum in (q, cutoff], or None.
 
     Only prefixes strictly below q are explored: a sum whose proper prefix
     already exceeds q is beaten by that prefix, which a shorter-j search
     covers.  For the last term the minimizing denominator is closed form
-    (the largest m with 1/m > q - partial).
+    (the largest m with 1/m > q - partial).  No child is pruned against
+    best or cutoff, so its units are ``_min_above_work``'s exact count,
+    which the caller charges before it runs.
     """
     best: Fraction | None = None
 
     def rec(p: Fraction, k: int, m_last: int) -> None:
         nonlocal best
-        budget.spend()
         gap = q - p  # > 0
         r = j - k
         if r == 1:
@@ -294,7 +325,6 @@ def _min_jterm_above(
             rec(p + Fraction(1, m), k + 1, m)
             run += Fraction(1, m + r) - Fraction(1, m)
             m += 1
-            budget.spend()
 
     rec(ZERO, 0, 0)
     return best
@@ -314,6 +344,10 @@ def next_point_above(
     check=True verifies that, spending from the same budget.  Its cell is
     at most 1/(n(n+1)) long, so the answer lies in (q, q + 1/(n(n+1))]; no
     sum there, or q >= H_n, the largest n-term sum, raises ValueError.
+
+    After the checks, the units of the j = 1..n min-above searches are
+    counted exactly and charged before any of them runs, so a call that
+    would run out raises NodeBudgetExceeded before its first search node.
     """
     q = Fraction(q)
     if q <= 0:
@@ -332,10 +366,15 @@ def next_point_above(
                 raise ShorterRepresentationError(q, jj, EgyptianRep(tuple(witness)))
         if _representation(q.numerator, q.denominator, n, 1, None, budget) is None:
             raise ValueError(f"{format_rational(q)} has no {n}-term representation")
+    work = 0
+    for j in range(1, n + 1):
+        work += _min_above_work(q.numerator, q.denominator, j, 0, budget.left - work)
+    budget.require(work, "the min-above search for up to %d terms", n)
+    budget.spend(work)
     cutoff = q + Fraction(1, n * (n + 1))
     best: Fraction | None = None
     for j in range(1, n + 1):
-        cand = _min_jterm_above(q, j, best if best is not None else cutoff, budget)
+        cand = _min_jterm_above(q, j, best if best is not None else cutoff)
         if cand is not None and (best is None or cand < best):
             best = cand
     if best is None:

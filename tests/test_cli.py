@@ -189,6 +189,15 @@ def test_huge_certificate_exits_3_fast(argv):
     assert proc.stdout == "" and "needs at least" in proc.stderr
 
 
+def test_cell_over_budget_exits_3_before_its_min_above_searches(capsys):
+    # the cell's right endpoint takes 321,850 units of min-above search,
+    # counted before the first one is spent
+    code, out, err = run(capsys, "cell", "1/10", "4", "--node-budget", "300000")
+    assert code == 3
+    assert out == ""
+    assert "needs at least" in err and "300000 left" in err
+
+
 def test_greedy_with_long_denominators_is_fast():
     # 3.7 MB of output, with denominators of up to 2 million bits
     src = Path(__file__).resolve().parent.parent / "src"

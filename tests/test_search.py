@@ -458,6 +458,71 @@ def test_next_point_above_matches_oracle(budgets, rng):
                 except NodeBudgetExceeded:
                     with pytest.raises(NodeBudgetExceeded):
                         next_point_above(q, n, node_budget=limit, check=False)
+                    # the searches' units are counted before any of them runs
+                    assert budgets[0].left == limit, (q, n, limit)
                     continue
                 assert next_point_above(q, n, node_budget=limit, check=False) == expected
                 assert budgets[0].left == oracle_budget.left, (q, n, limit)
+
+
+def test_min_above_work_counts_the_oracle_units(rng):
+    # the count is the units the Fraction search spends, also where a
+    # consecutive run lands exactly on q; past limit it stops in (limit, U]
+    qs = [sum(Fraction(1, m + t) for t in range(r)) for m in range(1, 7) for r in (2, 3, 4)]
+    qs += [sum(Fraction(1, rng.randrange(2, 30)) for _ in range(rng.randrange(1, 4)))
+           for _ in range(40)]
+    counted = 0
+    for q in qs:
+        for j in range(1, 5):
+            budget = _Budget(5_000)
+            try:
+                oracle_min_above.min_jterm_above(q, j, q + 1, budget)
+            except NodeBudgetExceeded:
+                continue
+            units = 5_000 - budget.left
+            for limit in sorted({*range(min(units, 60) + 1), units - 1, units, 10**9}):
+                work = search._min_above_work(q.numerator, q.denominator, j, 0, limit)
+                assert work == units if units <= limit else limit < work <= units, (q, j, limit)
+            counted += 1
+    assert counted >= 150
+
+
+def test_next_point_above_budget_contract(budgets, rng):
+    # the units U a run within 50,000 spends are exactly enough: budget U
+    # gives the same point and U - 1 raises before any search node is spent
+    unlimited = 50_000
+    checked = 0
+    for n, draws in ((2, 10), (3, 10), (4, 6)):
+        for _ in range(draws):
+            x = random_rational(rng, max_den=90, hi=harmonic(n))
+            q, _ = best_underapprox(x, n)
+            budgets.clear()
+            try:
+                point = next_point_above(q, n, node_budget=unlimited, check=False)
+            except NodeBudgetExceeded:
+                continue
+            units = unlimited - budgets[0].left
+            assert next_point_above(q, n, node_budget=units, check=False) == point, (q, n)
+            assert budgets[1].left == 0
+            with pytest.raises(NodeBudgetExceeded) as info:
+                next_point_above(q, n, node_budget=units - 1, check=False)
+            assert budgets[2].left == units - 1
+            assert _named_bound(info.value) == (units, units - 1)
+            checked += 1
+    assert checked >= 24
+
+
+def test_next_point_above_raises_before_its_searches(budgets):
+    # the j = 1 search finds 1/10 at once, yet the j = 2..4 searches walk
+    # 321,850 units in all: they never prune against an incumbent
+    q, _ = best_underapprox(Fraction(1, 10), 4)
+    assert q == Fraction(222297098047124, 2222970980471241)
+    budgets.clear()
+    assert next_point_above(q, 4, node_budget=10**6, check=False) == Fraction(1, 10)
+    assert 10**6 - budgets[0].left == 321_850
+    with _deadline(1.0):
+        with pytest.raises(NodeBudgetExceeded) as info:
+            next_point_above(q, 4, node_budget=10**5, check=False)
+    assert budgets[1].left == 10**5
+    need, left = _named_bound(info.value)
+    assert need > left == 10**5
