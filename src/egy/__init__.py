@@ -34,7 +34,6 @@ from .partition import (
 )
 from .rational import (
     EgyptianRep,
-    Rational,
     format_rational,
     harmonic,
     make_rep,
@@ -63,7 +62,6 @@ __all__ = [
     "Lemma1Report",
     "MeasureEnclosure",
     "NodeBudgetExceeded",
-    "Rational",
     "ResourceLimitError",
     "SampleReport",
     "ShorterRepresentationError",

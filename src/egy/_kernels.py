@@ -48,7 +48,9 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     Only candidates beating the threshold thr_n/thr_d are tracked (ties too,
     when allow_equal is set; the lowest-a tie is kept).  Returns
     (found, num, den, a, b, iterations); num/den is unreduced.  Needs
-    xd > 0, thr_d > 0 and thr_n >= 0.
+    xd > 0, thr_d > 0 and thr_n >= 0.  Neither pair needs to be reduced:
+    the tuple depends on the values of x and the threshold alone, except
+    that a no-find returns the threshold pair as it was given.
 
     For fixed a the best partner is the smallest b with 1/a + 1/b < x, so
     the scan is linear in a; it stops at the first a where even

@@ -26,8 +26,6 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterable, Sequence
 
-Rational = Fraction
-
 ZERO = Fraction(0)
 ONE = Fraction(1)
 

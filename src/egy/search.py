@@ -3,11 +3,13 @@
 Three engines:
 
 * ``best_underapprox`` -- branch-and-bound for the largest n-term sum of
-  distinct unit fractions strictly below x.  The incumbent starts at the
-  greedy value (always feasible, always strict) and is refreshed with a
-  greedy completion whenever a node's partial sum passes it, which keeps
-  every branching range finite.  The bottom two levels are closed form: for
-  a fixed next-to-last denominator the best last one is
+  distinct unit fractions strictly below x, on integer pairs.  The
+  incumbent starts at the greedy value (always feasible, always strict)
+  and is refreshed with a greedy completion whenever a node's partial sum
+  passes it, which keeps every branching range finite; both come from the
+  one greedy loop, ``greedy.greedy_completion``, as reduced pairs, so no
+  ``Fraction`` is built until the result.  The bottom two levels are
+  closed form: for a fixed next-to-last denominator the best last one is
   floor(1/gap) + 1, so the two-term completion is a single linear scan
   (``_kernels.two_term_max_below``).  Before a node with two or more
   terms left runs its scan or visits its children, it bounds the units
@@ -38,7 +40,7 @@ from math import gcd
 
 from . import _kernels
 from .greedy import greedy_completion, level_harmonic
-from .rational import ZERO, EgyptianRep, format_rational
+from .rational import ZERO, EgyptianRep, _from_reduced, format_rational
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -181,12 +183,11 @@ def best_underapprox(
         return Fraction(1, m), EgyptianRep((m,))
 
     budget = _Budget(node_budget)
-    inc_rep, inc_val = greedy_completion(x, n)
     # The incumbent vn/vd (reduced), x = xn/xd and every partial sum are
     # integer pairs compared by cross multiplication: this loop runs once
     # per node, and Fraction arithmetic would cost more than the node.
-    vn, vd = inc_val.numerator, inc_val.denominator
     xn, xd = x.numerator, x.denominator
+    inc_rep, vn, vd = greedy_completion(xn, xd, n)
 
     def visit(pn: int, pd: int, k: int, m_last: int, prefix: list[int]) -> None:
         # the prefix sums to p = pn/pd, unreduced
@@ -194,9 +195,8 @@ def best_underapprox(
         budget.spend()
         r = n - k
         if vn * pd <= pn * vd:
-            comp, val = greedy_completion(x, r, Fraction(pn, pd), m_last)
+            comp, vn, vd = greedy_completion(xn, xd, r, pn, pd, m_last)
             inc_rep = prefix + comp
-            vn, vd = val.numerator, val.denominator
         gap_n, gap_d = xn * pd - pn * xd, xd * pd  # x - p > 0, unreduced
         m = gap_d // gap_n + 1  # the first child, or the scan's first a
         if m <= m_last:
@@ -208,15 +208,11 @@ def best_underapprox(
             budget.require(_certain_work(gap_n, gap_d, r, m, budget.left),
                            "the %d-term subtree at depth %d", r, k)
         if r == 2:
-            # the kernel sees the same reduced rem = x - p and thr = inc - p
-            # as Fraction arithmetic would give it
-            g_gap = gcd(gap_n, gap_d)
-            thr_n, thr_d = vn * pd - pn * vd, vd * pd
-            g_thr = gcd(thr_n, thr_d)
+            # x - p and inc - p go to the kernel unreduced: its result
+            # depends on their values alone, not on how they are written
             allow_equal = prefix <= inc_rep[:k]
             found, bn, bd, a, b, iters = _kernels.two_term_max_below(
-                gap_n // g_gap, gap_d // g_gap, m_last + 1,
-                thr_n // g_thr, thr_d // g_thr, allow_equal,
+                gap_n, gap_d, m_last + 1, vn * pd - pn * vd, vd * pd, allow_equal,
                 budget.left,  # abort mid-scan once the budget is gone
             )
             budget.spend(iters)
@@ -249,7 +245,7 @@ def best_underapprox(
             budget.spend()
 
     visit(0, 1, 0, 0, [])
-    return Fraction(vn, vd), EgyptianRep(tuple(inc_rep))
+    return _from_reduced(vn, vd), EgyptianRep(tuple(inc_rep))
 
 
 def has_representation(

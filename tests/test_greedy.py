@@ -1,10 +1,18 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from egy.greedy import DEFAULT_MAX_TERMS, greedy_gap, greedy_underapprox, greedy_value
+import oracle_greedy
+from egy.greedy import (
+    DEFAULT_MAX_TERMS,
+    greedy_completion,
+    greedy_gap,
+    greedy_underapprox,
+    greedy_value,
+)
 from egy.rational import rep_value
 
 positive_rationals = st.fractions(min_value=Fraction(1, 10**6), max_value=100)
@@ -94,3 +102,50 @@ def test_value_and_gap_validate_arguments(call):
                           (Fraction(1, 2), DEFAULT_MAX_TERMS + 1, "n=13 exceeds the term limit 12")):
         with pytest.raises(ValueError, match=message):
             call(x, n)
+
+
+def _same_as_oracle(xn, xd, r, pn=0, pd=1, m_last=0):
+    """greedy_completion on the pairs against the Fraction oracle; the
+    returned pair must be reduced with a positive denominator, because
+    ``_from_reduced`` turns it into a Fraction without a gcd."""
+    denoms, vn, vd = greedy_completion(xn, xd, r, pn, pd, m_last)
+    assert vd > 0 and gcd(vn, vd) == 1, (xn, xd, r, pn, pd, m_last)
+    want = oracle_greedy.greedy_completion(Fraction(xn, xd), r, Fraction(pn, pd), m_last)
+    assert (denoms, Fraction(vn, vd)) == want, (xn, xd, r, pn, pd, m_last)
+
+
+def test_completion_against_fraction_oracle(rng):
+    cases = 0
+    for _ in range(600):
+        if rng.getrandbits(1):
+            xn, xd = rng.randrange(1, 2**33), 2**32  # dyadic, as the samples draw
+        else:
+            xd = rng.randrange(1, 10**rng.randrange(1, 13))
+            xn = rng.randrange(1, 3 * xd)
+        # an unreduced x and an unreduced prefix p < x, often a sum of
+        # unit fractions written over the product of its denominators
+        k = rng.choice((1, 1, 2, 6, 2**61 - 1))
+        if rng.getrandbits(1):
+            pn, pd = 0, 1
+            for m in sorted(rng.sample(range(1, 60), rng.randrange(0, 4))):
+                if (pn * m + pd) * xd < xn * pd * m:
+                    pn, pd = pn * m + pd, pd * m
+        else:
+            pd = rng.randrange(1, 10**6)
+            pn = xn * pd // xd - (xn * pd % xd == 0) - rng.randrange(0, 3)
+            pn = max(pn, 0)
+        pn, pd = pn * rng.choice((1, 3, 35)), pd * rng.choice((1, 3, 35))
+        gn, gd = xn * pd - pn * xd, xd * pd
+        first = gd // gn + 1  # floor(1/gap) + 1
+        for r in range(7):
+            for m_last in (0, first - 2, first - 1, first, first + 5):
+                if m_last >= 0:
+                    _same_as_oracle(k * xn, k * xd, r, pn, pd, m_last)
+                    cases += 1
+    assert cases > 15_000
+
+
+def test_completion_of_tiny_x_at_the_term_limit():
+    # 1/10^30 has 100 bits, and its twelfth greedy denominator about 200,000
+    _same_as_oracle(1, 10**30, DEFAULT_MAX_TERMS)
+    _same_as_oracle(7, 7 * 10**30, DEFAULT_MAX_TERMS, 1, 10**31)

@@ -9,9 +9,20 @@ from egy import _kernels
 from oracle_max_below import linear_two_term_max_below
 
 
+# egy.search passes x - p and inc - p to the kernel unreduced, so the
+# kernel's tuple must depend on the values alone: scaling either pair by k
+# changes nothing, except that a no-find returns the threshold pair as given
+SCALES = (2, 6, 2**61 - 1)  # and k = 1, the call itself
+
+
 def _same_as_oracle(*args):
     got = _kernels.two_term_max_below(*args)
     assert got == linear_two_term_max_below(*args), args
+    xn, xd, a_min, thr_n, thr_d, *rest = args
+    for k in SCALES:
+        assert _kernels.two_term_max_below(k * xn, k * xd, a_min, thr_n, thr_d, *rest) == got, (k, args)
+        want = got if got[0] else (False, k * got[1], k * got[2], *got[3:])
+        assert _kernels.two_term_max_below(xn, xd, a_min, k * thr_n, k * thr_d, *rest) == want, (k, args)
     return got
 
 

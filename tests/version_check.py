@@ -1,0 +1,102 @@
+"""A stdlib-only check of egy under the Python that runs it.
+
+Usage, from any directory:
+
+    python tests/version_check.py '[[["greedy", "11/24", "3"], "<sha256>"], ...]'
+
+The argument is a JSON list of (argv, sha256 of stdout) pairs, the
+``GOLDEN_STDOUT`` of ``tests/test_cli.py``; ``10^k`` in an argument stands
+for a 1 and k zeros.  The script checks:
+
+* ``rational._from_reduced`` fills the slots this Python's ``Fraction``
+  reads: its values compare, hash, print, pickle and compute as
+  ``Fraction(num, den)`` does;
+* ``rational.sum_pairs`` against ``Fraction`` addition on random narrow
+  (unreduced) and wide (reduced) pairs;
+* every pair's argv through ``python -m egy``, by its exit code and the
+  sha256 of its stdout.
+
+It needs neither pytest nor hypothesis, so it runs under any interpreter
+the package supports; ``tests/test_versions.py`` runs it under each local
+Python from 3.10 to 3.13.  It prints one line per check and exits 1 at the
+first failure.
+"""
+
+import hashlib
+import json
+import os
+import pickle
+import random
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from math import gcd
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+sys.path.insert(0, str(SRC))
+
+from egy.rational import _from_reduced, sum_pairs  # noqa: E402
+
+
+def fail(what):
+    print(f"FAIL {what}")
+    sys.exit(1)
+
+
+def check_from_reduced():
+    rng = random.Random(1)
+    pairs = [(0, 1), (1, 1), (-3, 7), (22, 7), (1, 10**400)]
+    for _ in range(200):
+        den = rng.randrange(1, 2**rng.randrange(1, 300))
+        num = rng.randrange(-(2**300), 2**300)
+        g = gcd(num, den)
+        pairs.append((num // g, den // g))
+    for num, den in pairs:
+        value, want = _from_reduced(num, den), Fraction(num, den)
+        if not (type(value) is Fraction and (value.numerator, value.denominator) == (num, den)
+                and value == want and hash(value) == hash(want) and repr(value) == repr(want)
+                and pickle.loads(pickle.dumps(value)) == want
+                and value + Fraction(1, 3) == want + Fraction(1, 3) and value * 6 == want * 6
+                and (value < 1) == (want < 1) and float(value) == float(want)):
+            fail(f"_from_reduced({num}, {den}) is not Fraction({num}, {den})")
+    print(f"ok _from_reduced on {len(pairs)} pairs")
+
+
+def check_sum_pairs():
+    rng = random.Random(2)
+    for trial in range(300):
+        pairs = []
+        for _ in range(rng.randrange(0, 40)):
+            if rng.randrange(4):  # narrow, unreduced
+                pairs.append((rng.randrange(-(2**40), 2**40), rng.randrange(1, 2**rng.randrange(1, 900))))
+            else:  # wide, reduced
+                f = Fraction(rng.randrange(-(2**1100), 2**1100), rng.randrange(2**1023, 2**1200))
+                pairs.append((f.numerator, f.denominator))
+        got = sum_pairs(pairs)
+        want = sum((Fraction(a, b) for a, b in pairs), Fraction(0))
+        if got != want or hash(got) != hash(want) or gcd(got.numerator, got.denominator) != 1:
+            fail(f"sum_pairs on trial {trial}")
+    print("ok sum_pairs on 300 random sums")
+
+
+def check_golden(golden):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for argv, digest in golden:
+        argv = [re.sub(r"10\^(\d+)", lambda m: "1" + "0" * int(m.group(1)), arg) for arg in argv]
+        proc = subprocess.run([sys.executable, "-m", "egy", *argv], capture_output=True,
+                              env=env, timeout=120)
+        shown = " ".join(a if len(a) < 40 else a[:12] + "..." for a in argv)
+        if proc.returncode != 0:
+            fail(f"egy {shown} exited {proc.returncode}: {proc.stderr.decode()[-500:]}")
+        if hashlib.sha256(proc.stdout).hexdigest() != digest:
+            fail(f"egy {shown} printed other bytes")
+    print(f"ok {len(golden)} golden outputs")
+
+
+if __name__ == "__main__":
+    print("python", sys.version.split()[0])
+    check_from_reduced()
+    check_sum_pairs()
+    check_golden(json.loads(sys.argv[1]))
