@@ -8,10 +8,11 @@ naive loops and the dict-and-sort enumeration in ``tests/oracle_lemma1.py``.
 
 The enumerations are generators: ``iter_min_competitors`` and
 ``iter_direct_terms`` yield as they go and hold O(i) state for their
-O(i^2) pairs or terms.  ``iter_min_competitors`` walks windows of greedy
-cells with one cursor per a, each window holding at most a fixed
-multiple of i pairs, and yields each window's per-cell minima in
-increasing cell order, the smallest a first among equal sums.
+O(i^2) pairs or terms.  ``iter_min_competitors`` merges the per-a streams
+of b on one heap of ints j 2i + a, one entry per a, so pairs come off it
+by greedy cell j and then by a.  A cell's sum is replaced only by a
+strictly smaller one, so the smallest a wins ties, and the cell is yielded
+once j moves on.
 ``two_term_min_competitors`` and ``direct_mode_terms`` are the same as
 lists, for callers that need one.
 
@@ -21,6 +22,7 @@ All arithmetic is on plain Python ints; fractions are carried as unreduced
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heapreplace
 from math import isqrt
 
 BACKEND = "python"  # the one implementation; benchmark runs record it
@@ -151,15 +153,12 @@ def competitor_pairs(i, limit):
     return count
 
 
-_WINDOW_PAIRS_PER_A = 8  # a window holds at most this many pairs per a
-
-
 def iter_min_competitors(i):
     """Per greedy cell, the smallest two-term sum that can beat greedy.
 
     Enumerates every s = 1/a + 1/b with i < a < b and s in
     (1/i, 1/(i-1)]: a < 2i is forced by 2/a > s > 1/i, and for each a the
-    window of b follows from the two endpoint constraints.  Each s lands in
+    range of b follows from the two endpoint constraints.  Each s lands in
     the greedy cell (1/i + 1/j, 1/i + 1/(j-1)] with
     j = floor(1/(s - 1/i)) + 1, and the minimum per cell is kept.
 
@@ -168,75 +167,48 @@ def iter_min_competitors(i):
     below 1/b, so from b to b+1 it falls by 1/(b(b+1)) > g(b) g(b+1):
     1/g grows by more than one and j strictly increases with b.
 
-    So the walk goes over windows of cells [J, J'), keeping one cursor per
-    a: the next b, the first one past every window so far.  The b of a
-    whose cells lie in the window run from the cursor up to the last b
-    with b (ia + (J'-1)(a-i)) < (J'-1) i a.  The pairs are visited a by a,
-    in increasing a, and each cell's minimum goes into a dict keyed by j,
-    replaced only by a strictly smaller sum; the dict is emitted in sorted
-    j.  Before a window runs its pairs are counted per a, and it is
-    narrowed until it holds at most ``_WINDOW_PAIRS_PER_A`` * i pairs;
-    one cell holds at most one pair per a, so a one-cell window always
-    fits.  A window less than half full doubles the next one's width.
-    The state is O(i) for the O(i^2) pairs visited: the cursors
-    plus one window.
+    So the streams of b, one per a, each run in increasing j, and they are
+    merged on one heap: a's entry is the int j 2i + a for its next b, which
+    orders by (j, a) since a < 2i, and two lists hold a's next b and its
+    last.  Popping the smallest key visits the pairs by cell and, within a
+    cell, in increasing a; a cell's sum is replaced only by a strictly
+    smaller one, so the smallest a wins ties, and the cell is yielded once
+    j moves on.  The state is O(i) for the O(i^2) pairs visited: one heap
+    entry and two list slots per a.
     """
     if i < 2:
         raise ValueError(f"need i >= 2, got {i}")
-    cap = _WINDOW_PAIRS_PER_A * i
-    avals, curs, his = [], [], []  # per a with competitors: a, cursor, last b
-    for a in range(i + 1, 2 * i):
+    m = 2 * i
+    heap, nxt, his = [], [0] * i, [0] * i  # the lists are indexed by a - i
+    for a in range(i + 1, m):
         lo, hi = _b_range(i, a)
         if lo <= hi:
-            avals.append(a)
-            curs.append(lo)
-            his.append(hi)
-    start = i * (i - 1) + 1  # s <= 1/(i-1) puts every cell at j > i(i-1)
-    width = cap
-    while avals:
-        while True:
-            m = start + width - 1  # J' - 1
-            ends, count = [], 0
-            for a, cur, hi in zip(avals, curs, his):
-                ia = i * a
-                end = (m * ia - 1) // (ia + m * (a - i))
-                if end > hi:
-                    end = hi
-                ends.append(end)
-                if end >= cur:
-                    count += end - cur + 1
-            if count <= cap:
-                break
-            # count <= width (i - 1) keeps this >= 1; one cell always fits
-            width = width * cap // count
-        best = {}
-        for k, a in enumerate(avals):
-            cur, end = curs[k], ends[k]
-            if end < cur:
-                continue
-            ia = i * a
-            d = a - i
+            ia, d = i * a, a - i
             # s - 1/i = gap / (i a b) with gap = ia - d b > 0
-            for b in range(cur, end + 1):
-                j = ia * b // (ia - d * b) + 1
-                if j in best:
-                    oa, ob = best[j]
-                    if (a + b) * oa * ob < (oa + ob) * a * b:
-                        best[j] = a, b
-                else:
-                    best[j] = a, b
-            curs[k] = end + 1
-        for j in sorted(best):
-            a, b = best[j]
-            yield j, a + b, a * b
-        if any(cur > hi for cur, hi in zip(curs, his)):
-            keep = [k for k, (cur, hi) in enumerate(zip(curs, his)) if cur <= hi]
-            avals = [avals[k] for k in keep]
-            curs = [curs[k] for k in keep]
-            his = [his[k] for k in keep]
-        start += width
-        if 2 * count < cap:
-            width *= 2
+            heap.append((ia * lo // (ia - d * lo) + 1) * m + a)
+            nxt[d], his[d] = lo, hi
+    heapify(heap)
+    cell = best_n = best_d = 0
+    while heap:
+        j, a = divmod(heap[0], m)
+        d = a - i
+        b = nxt[d]
+        sn, sd = a + b, a * b
+        if j != cell:
+            if cell:
+                yield cell, best_n, best_d
+            cell, best_n, best_d = j, sn, sd
+        elif sn * best_d < best_n * sd:
+            best_n, best_d = sn, sd
+        if b < his[d]:
+            b += 1
+            nxt[d] = b
+            ia = i * a
+            heapreplace(heap, (ia * b // (ia - d * b) + 1) * m + a)
+        else:
+            heappop(heap)
+    if cell:
+        yield cell, best_n, best_d
 
 
 def two_term_min_competitors(i):

@@ -130,54 +130,58 @@ def _json_text(value) -> str:
     return json.dumps(value)
 
 
-def _run(args: argparse.Namespace) -> tuple[dict, str]:
-    """Returns (report, csv_text); csv_text is built only under --csv, and
-    csv falls back to the report's JSON when a command has no tabular form."""
+def _run(args: argparse.Namespace) -> str:
+    """The command's stdout: its CSV table under --csv when it has one
+    (cells, sample), its JSON report otherwise.  Only that form is built."""
     budget = args.node_budget
     if args.command == "greedy":
         rep, value = _greedy_terms(parse_rational(args.x), args.n)
-        return {"rep": rep, "value": format_rational(value)}, ""
-    if args.command == "best":
+        report = {"rep": rep, "value": format_rational(value)}
+    elif args.command == "best":
         value, rep = best_underapprox(parse_rational(args.x), args.n, budget)
-        return {"value": format_rational(value), "rep": list(rep)}, ""
-    if args.command == "cell":
-        return _cell_dict(cell_of(parse_rational(args.x), args.n, budget)), ""
-    if args.command == "cells":
+        report = {"value": format_rational(value), "rep": list(rep)}
+    elif args.command == "cell":
+        report = _cell_dict(cell_of(parse_rational(args.x), args.n, budget))
+    elif args.command == "cells":
         cells, uncovered = cells_in_window(
             parse_rational(args.a), parse_rational(args.b), args.n,
             args.max_cells, budget,
         )
-        out = {
+        if args.csv:
+            return cells_to_csv(cells)
+        report = {
             "cells": [_cell_dict(c) for c in cells],
             "uncovered": format_rational(uncovered),
         }
-        return out, cells_to_csv(cells) if args.csv else ""
-    if args.command == "regular":
-        return {"value": format_rational(next_regular_above(parse_rational(args.x), args.n))}, ""
-    if args.command == "chain":
-        return chain_check(parse_rational(args.x), args.n0, args.t, node_budget=budget).to_dict(), ""
-    if args.command == "lemma1":
-        return lemma1_certificate(args.i, args.mode, budget).to_dict(), ""
-    if args.command == "nongreedy":
+    elif args.command == "regular":
+        report = {"value": format_rational(next_regular_above(parse_rational(args.x), args.n))}
+    elif args.command == "chain":
+        report = chain_check(parse_rational(args.x), args.n0, args.t, node_budget=budget).to_dict()
+    elif args.command == "lemma1":
+        report = lemma1_certificate(args.i, args.mode, budget).to_dict()
+    elif args.command == "nongreedy":
         from fractions import Fraction
 
         scale = (args.i - 1) * args.i
         measure, ratio = format_rational_scaled(nongreedy_two_term_measure(args.i, budget), scale)
-        out = {
+        report = {
             "i": args.i,
             "measure": measure,
             "interval_length": format_rational(Fraction(1, scale)),
             "ratio": ratio,
         }
-        return out, ""
-    if args.command == "decay":
+    elif args.command == "decay":
         cell = Cell(level=args.t, lower=parse_rational(args.q), upper=parse_rational(args.r),
                     best_rep=None)
-        return cell_decay_bound(cell, args.imax, args.slice_bound, budget).to_dict(), ""
-    if args.command == "sample":
-        report = sample_chain_density(args.s, args.t, args.count, args.seed, args.bits, budget)
-        return report.to_dict(), report.to_csv() if args.csv else ""
-    raise AssertionError(f"unhandled command {args.command}")
+        report = cell_decay_bound(cell, args.imax, args.slice_bound, budget).to_dict()
+    elif args.command == "sample":
+        sampled = sample_chain_density(args.s, args.t, args.count, args.seed, args.bits, budget)
+        if args.csv:
+            return sampled.to_csv()
+        report = sampled.to_dict()
+    else:
+        raise AssertionError(f"unhandled command {args.command}")
+    return _json_text(report) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -190,7 +194,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.node_budget is not None and args.node_budget < 1:
         parser.error("--node-budget must be >= 1")
     try:
-        report, csv_text = _run(args)
+        text = _run(args)
     except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -198,10 +202,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        if args.csv and csv_text:
-            sys.stdout.write(csv_text)
-        else:
-            print(_json_text(report))
+        sys.stdout.write(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not an error

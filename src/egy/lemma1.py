@@ -222,17 +222,16 @@ def lemma1_certificate(i: int, mode: str = "paper", node_budget: int | None = No
     if i < 2:
         raise ValueError(f"lemma1_certificate() needs i >= 2, got {format_rational(i)}")
     what = f"the {mode} certificate at i={format_rational(i)}"
-    budget = _Budget(node_budget)
     if mode == "paper":
         if i < 1000:
             raise ValueError(f"paper mode needs i >= 1000, got {format_rational(i)}")
         lo, hi = _paper_range(i)
-        budget.require(hi - lo + 1, what)
+        _Budget(node_budget).require(hi - lo + 1, what)
         measure, selected = _paper_certificate(i)
     elif mode == "direct":
-        budget.require(i * (i + 1) // 10 + 1, what)
+        _Budget(node_budget).require(i * (i + 1) // 10 + 1, what)
         measure, selected = _direct_certificate(i)
-    else:
+    else:  # exact_measure charges its own budget
         measure, selected = exact_measure(range(i, i + 1), node_budget, what)
     interval = Fraction(1, (i - 1) * i)
     if not 0 <= measure <= interval:

@@ -55,6 +55,22 @@ def test_cells_csv(capsys):
     assert lines[1] == "1,3/4,1,1/4,2"
 
 
+def test_csv_builds_no_json_report(capsys, monkeypatch):
+    # under --csv only the CSV is built: no per-cell dict, no sample dict
+    from egy import cli
+    from egy.measure import SampleReport
+
+    def unused(*args):
+        raise AssertionError("JSON report built under --csv")
+
+    monkeypatch.setattr(cli, "_cell_dict", unused)
+    monkeypatch.setattr(SampleReport, "to_dict", unused)
+    code, out, _ = run(capsys, "--csv", "cells", "1/3", "1/2", "2", "--max-cells", "3")
+    assert code == 0 and out.startswith("level,lower,upper,length,best_rep\n2,10/21,1/2,1/42,3 7\n")
+    code, out, _ = run(capsys, "sample", "1", "2", "--count", "5", "--csv")
+    assert code == 0 and out.startswith("x,verdict,failure_level\n")
+
+
 def test_regular(capsys):
     code, out, _ = run(capsys, "regular", "1/2", "1")
     assert code == 0
@@ -322,6 +338,12 @@ GOLDEN_STDOUT = [
      "8d0657f902204271cc62152ba5ae4198df42709d2e16a28ab68748f165a65ffa"),
     (("--csv", "cells", "1/10^5000", "3/10^5000", "1", "--max-cells", "3"),
      "bf018fa558b216e0be832af55685e0ad33774fbce61528953c687861b72135f1"),
+    # the JSON form of cells, recorded before the CLI stopped building the
+    # JSON report under --csv
+    (("cells", "1/10^5000", "3/10^5000", "1", "--max-cells", "3"),
+     "0544a5adb41af417508c655231e024f1c68836fe5c5d62637529319a55338248"),
+    (("cells", "1/3", "1/2", "2", "--max-cells", "3"),
+     "4d501ece50e36819d069f7bb4d7bb3a47f038f8149104f927878c0248bd02941"),
 ]
 
 

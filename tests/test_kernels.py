@@ -186,11 +186,9 @@ def test_min_competitors_against_naive():
 
 @pytest.mark.parametrize("i", [400, 613])
 def test_min_competitors_state_is_cursors_plus_one_window(i):
-    # one cursor per a plus one window of at most 8i pairs, at most 256
-    # bytes for each a (a, its cursor, its last b, its window end) and each
-    # window pair (a dict entry keyed by j holding (a, b), and its place in
-    # the sorted keys); a list of the ~0.9 i^2 cells, or a window with no
-    # bound, would take tens of MB here
+    # one heap entry and two list slots per a, at most 256 bytes for each a
+    # (its int key j 2i + a, its next b and its last b); a list of the
+    # ~0.9 i^2 cells would take tens of MB here
     list(_kernels.iter_min_competitors(20))  # warm imports
     tracemalloc.start()
     try:
@@ -199,14 +197,16 @@ def test_min_competitors_state_is_cursors_plus_one_window(i):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (i + 8 * i) * 256, peak
+    assert peak < i * 256, peak
 
 
 @pytest.mark.parametrize("i_values", [range(2, 201), (257, 400, 613)],
                          ids=["2-200", "257-400-613"])
 def test_streamed_competitors_match_dict_oracle(i_values):
-    # the windowed walk against the dict-and-sort enumeration, tuple for tuple:
-    # same cells, same unreduced sums, the smallest a on equal sums
+    # the heap merge of the per-a streams against the dict-and-sort
+    # enumeration, tuple for tuple: same cells in increasing j, same unreduced
+    # sums, the smallest a on equal sums (the heap pops a cell's pairs in
+    # increasing a and keeps only a strictly smaller sum)
     for i in i_values:
         stream = _kernels.iter_min_competitors(i)
         assert iter(stream) is stream  # a generator, not a list
