@@ -25,6 +25,8 @@ from __future__ import annotations
 from heapq import heapify, heappop, heapreplace
 from math import isqrt
 
+from .rational import format_rational
+
 BACKEND = "python"  # the one implementation; benchmark runs record it
 
 
@@ -177,7 +179,7 @@ def iter_min_competitors(i):
     entry and two list slots per a.
     """
     if i < 2:
-        raise ValueError(f"need i >= 2, got {i}")
+        raise ValueError(f"need i >= 2, got {format_rational(i)}")
     m = 2 * i
     heap, nxt, his = [], [0] * i, [0] * i  # the lists are indexed by a - i
     for a in range(i + 1, m):
@@ -228,7 +230,7 @@ def iter_direct_terms(i):
     Yields (floor_xk, term_num, term_den) in increasing k, terms unreduced.
     """
     if i < 2:
-        raise ValueError(f"need i >= 2, got {i}")
+        raise ValueError(f"need i >= 2, got {format_rational(i)}")
     big = i * (i + 1)
     kmax = big // 10
     prev_p = prev_q = 0

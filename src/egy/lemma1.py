@@ -74,10 +74,10 @@ def xk(i: int, k: int) -> Fraction:
     """x_k = N(N + 2k)/(N - 2k) with N = i(i+1); 1/i + 1/x_k is the
     competitor 1/(i+1) + 1/(N/2 + k) rewritten against the greedy base."""
     if i < 2:
-        raise ValueError(f"xk() needs i >= 2, got {i}")
+        raise ValueError(f"xk() needs i >= 2, got {format_rational(i)}")
     big = i * (i + 1)
     if not 0 <= k <= big // 10:
-        raise ValueError(f"xk() needs 0 <= k <= {big // 10}, got {k}")
+        raise ValueError(f"xk() needs 0 <= k <= {format_rational(big // 10)}, got {format_rational(k)}")
     return Fraction(big * (big + 2 * k), big - 2 * k)
 
 

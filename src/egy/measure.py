@@ -136,9 +136,10 @@ def _sqrt_upper(v: Fraction) -> Fraction:
 def wilson_interval(successes: int, trials: int, z: Fraction = WILSON_Z99) -> tuple[Fraction, Fraction]:
     """Wilson score interval, outward-rounded to exact rationals."""
     if trials < 1:
-        raise ValueError(f"wilson_interval() needs trials >= 1, got {trials}")
+        raise ValueError(f"wilson_interval() needs trials >= 1, got {format_rational(trials)}")
     if not 0 <= successes <= trials:
-        raise ValueError(f"need 0 <= successes <= trials, got {successes}/{trials}")
+        raise ValueError(f"need 0 <= successes <= trials, "
+                         f"got {format_rational(successes)}/{format_rational(trials)}")
     p = Fraction(successes, trials)
     z2 = z * z
     denom = 1 + z2 / trials

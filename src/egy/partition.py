@@ -113,16 +113,19 @@ def cells_in_window(
 
 
 def refinement_check(x: Fraction, n: int, node_budget: int | None = None) -> bool:
-    """Whether the level-n cell of x nests inside the level-(n-1) cell."""
-    if n < 2:
-        raise ValueError(f"refinement_check() needs n >= 2, got {n}")
-    fine = cell_of(x, n, node_budget)
+    """Whether the level-n cell of x nests inside the level-(n-1) cell.
+
+    The coarse cell is read first.  When it is the unbounded (H_{n-1}, inf),
+    the answer is True without a level-n search: the best n-term sum below
+    x > H_{n-1} is above H_{n-1}.  Otherwise x <= H_{n-1} < H_n, so the
+    level-n cell is bounded too.
+    """
+    level_harmonic(n, 2, "refinement_check")
     coarse = cell_of(x, n - 1, node_budget)
-    if fine.lower < coarse.lower:
-        return False
     if coarse.upper is None:
         return True
-    return fine.upper is not None and fine.upper <= coarse.upper
+    fine = cell_of(x, n, node_budget)
+    return coarse.lower <= fine.lower and fine.upper <= coarse.upper
 
 
 def _sylvester_maxtail(m: int, r: int) -> Fraction:

@@ -19,13 +19,14 @@ Three engines:
 * ``has_representation`` -- exhaustive search on integer pairs for an
   exact j-term representation, pruned by the densest completion.
 
-* ``next_point_above`` -- the smallest j-term Egyptian sum above a value,
-  minimized over j <= n; this is the right endpoint of the partition cell
-  whose left endpoint is the given value.  Its min-above searches never
-  prune against an incumbent, so their work depends on the value and j
-  alone; it counts those units exactly (``_min_above_work``) and charges
-  them before the first search, raising at once when they pass the
-  budget left.
+* ``next_point_above`` -- the smallest Egyptian sum of at most n terms
+  above a value q: the min over j = 1..n of the j-term min-above searches,
+  each a plain recursive min (``_min_jterm_above``), tested once against
+  the cell-length window q + 1/(n(n+1)).  It is the right endpoint of the
+  partition cell whose left endpoint is q.  The searches never prune, so
+  their work depends on q and j alone; it counts those units exactly
+  (``_min_above_work``) and charges them before the first search, raising
+  at once when they pass the budget left.
 
 Every search spends one unit of its ``node_budget`` per node and per
 loop step, and returns the exact answer or raises ``ValueError`` (input
@@ -86,17 +87,20 @@ class _Budget:
                                      f"{need_text} more units, {left_text} left")
 
 
-def _floor_recip(value: Fraction) -> int:
-    """floor(1/value) for value > 0."""
-    return value.denominator // value.numerator
-
-
 def _consecutive_run(m: int, r: int) -> tuple[int, int]:
     """1/m + ... + 1/(m+r-1) as rn/rd with rd = m(m+1)...(m+r-1)."""
     rn, rd = 0, 1
     for t in range(m, m + r):
         rn, rd = rn * t + rd, rd * t
     return rn, rd
+
+
+def _next_run(rn: int, rd: int, m: int, r: int) -> tuple[int, int]:
+    """The run from m + 1, from rn/rd = _consecutive_run(m, r): drop 1/m and
+    add 1/(m+r).  1/m = q/rd, and rn - q is rd times the other terms, each
+    of which leaves a factor m in it."""
+    q = rd // m
+    return (rn - q) // m * (m + r) + q, q * (m + r)
 
 
 def _certain_work(gap_n: int, gap_d: int, r: int, m: int, limit: int) -> int:
@@ -127,9 +131,7 @@ def _certain_work(gap_n: int, gap_d: int, r: int, m: int, limit: int) -> int:
             break  # a scan spends at most 1/g + 2 units, and g grows with m
         first = max(m + 1, cd // cn + 1)  # the child's first denominator
         bound += 2 + _certain_work(cn, cd, r - 1, first, limit - bound - 2)
-        # drop 1/m and add 1/(m+r), as in the node loop
-        q = rd // m
-        rn, rd = (rn - q) // m * (m + r) + q, q * (m + r)
+        rn, rd = _next_run(rn, rd, m, r)
         m += 1
     return bound
 
@@ -155,9 +157,7 @@ def _min_above_work(gap_n: int, gap_d: int, r: int, m_last: int, limit: int) -> 
     work = 1
     while rn * gap_d > gap_n * rd and work <= limit:
         work += 1 + _min_above_work(gap_n * m - gap_d, gap_d * m, r - 1, m, limit - work - 1)
-        # drop 1/m and add 1/(m+r), as in the node loop
-        q = rd // m
-        rn, rd = (rn - q) // m * (m + r) + q, q * (m + r)
+        rn, rd = _next_run(rn, rd, m, r)
         m += 1
     return work
 
@@ -178,16 +178,15 @@ def best_underapprox(
     hn = level_harmonic(n, 0, "best_underapprox")
     if x > hn:  # n = 0 always lands here: H_0 = 0 < x
         return hn, EgyptianRep(tuple(range(1, n + 1)))
-    if n == 1:
-        m = _floor_recip(x) + 1
-        return Fraction(1, m), EgyptianRep((m,))
-
-    budget = _Budget(node_budget)
     # The incumbent vn/vd (reduced), x = xn/xd and every partial sum are
     # integer pairs compared by cross multiplication: this loop runs once
     # per node, and Fraction arithmetic would cost more than the node.
     xn, xd = x.numerator, x.denominator
     inc_rep, vn, vd = greedy_completion(xn, xd, n)
+    if n == 1:  # the best one-term sum below x is the greedy one
+        return _from_reduced(vn, vd), EgyptianRep(tuple(inc_rep))
+
+    budget = _Budget(node_budget)
 
     def visit(pn: int, pd: int, k: int, m_last: int, prefix: list[int]) -> None:
         # the prefix sums to p = pn/pd, unreduced
@@ -237,10 +236,7 @@ def best_underapprox(
             if reach == 0 and prefix + [m] > inc_rep[: k + 1]:
                 break
             visit(pn * m + pd, pd * m, k + 1, m, prefix + [m])
-            # drop 1/m and add 1/(m+r): 1/m = q/rd, and rn - q is rd times
-            # the other terms, each of which leaves a factor m in it
-            q = rd // m
-            rn, rd = (rn - q) // m * (m + r) + q, q * (m + r)
+            rn, rd = _next_run(rn, rd, m, r)
             m += 1
             budget.spend()
 
@@ -278,51 +274,35 @@ def _representation(
         rest = _representation(gn * m - gd, gd * m, r - 1, m + 1, max_denom, budget)
         if rest is not None:
             return [m] + rest
-        head = rd // m  # drop 1/m and add 1/(m+r), as in best_underapprox
-        rn, rd = (rn - head) // m * (m + r) + head, head * (m + r)
+        rn, rd = _next_run(rn, rd, m, r)
         m += 1
         budget.spend()
     return None
 
 
-def _min_jterm_above(q: Fraction, j: int, cutoff: Fraction) -> Fraction | None:
-    """Minimal j-term Egyptian sum in (q, cutoff], or None.
+def _min_jterm_above(q: Fraction, p: Fraction, r: int, m_last: int) -> Fraction | None:
+    """The least sum p + 1/m_1 + ... + 1/m_r above q with m_last < m_1 < ...
+    < m_r, or None; p < q.
 
     Only prefixes strictly below q are explored: a sum whose proper prefix
-    already exceeds q is beaten by that prefix, which a shorter-j search
-    covers.  For the last term the minimizing denominator is closed form
-    (the largest m with 1/m > q - partial).  No child is pruned against
-    best or cutoff, so its units are ``_min_above_work``'s exact count,
-    which the caller charges before it runs.
+    already exceeds q is beaten by that prefix, which a shorter search
+    covers.  The last term is closed form, the largest m with 1/m above
+    the gap.  Nothing is pruned, so the units are ``_min_above_work``'s
+    exact count, which the caller charges before it runs.
     """
-    best: Fraction | None = None
-
-    def rec(p: Fraction, k: int, m_last: int) -> None:
-        nonlocal best
-        gap = q - p  # > 0
-        r = j - k
-        if r == 1:
-            m = _floor_recip(gap)
-            if gap.denominator % gap.numerator == 0:
-                m -= 1  # need 1/m strictly above the gap
-            if m <= m_last:
-                return
-            cand = p + Fraction(1, m)
-            hi = cutoff if best is None else best
-            if cand <= hi:
-                best = cand
-            return
-        m = max(m_last + 1, _floor_recip(gap) + 1)
-        run = Fraction(*_consecutive_run(m, r))
-        while True:
-            if p + run <= q:
-                break  # even consecutive denominators cannot climb past q
-            # no cutoff test: 1/m < q - p, so p + 1/m < q < cutoff
-            rec(p + Fraction(1, m), k + 1, m)
-            run += Fraction(1, m + r) - Fraction(1, m)
-            m += 1
-
-    rec(ZERO, 0, 0)
+    gap = q - p  # > 0
+    if r == 1:
+        m = (gap.denominator - 1) // gap.numerator  # the largest m with 1/m > gap
+        return p + Fraction(1, m) if m > m_last else None
+    m = max(m_last + 1, gap.denominator // gap.numerator + 1)
+    run = Fraction(*_consecutive_run(m, r))
+    best = None
+    while p + run > q:  # else even consecutive denominators cannot climb past q
+        point = _min_jterm_above(q, p + Fraction(1, m), r - 1, m)
+        if point is not None and (best is None or point < best):
+            best = point
+        run += Fraction(1, m + r) - Fraction(1, m)
+        m += 1
     return best
 
 
@@ -344,6 +324,7 @@ def next_point_above(
     After the checks, the units of the j = 1..n min-above searches are
     counted exactly and charged before any of them runs, so a call that
     would run out raises NodeBudgetExceeded before its first search node.
+    The answer is the min of their points, tested once against the window.
     """
     q = Fraction(q)
     if q <= 0:
@@ -367,13 +348,10 @@ def next_point_above(
         work += _min_above_work(q.numerator, q.denominator, j, 0, budget.left - work)
     budget.require(work, "the min-above search for up to %d terms", n)
     budget.spend(work)
+    points = (_min_jterm_above(q, ZERO, j, 0) for j in range(1, n + 1))
+    best = min((point for point in points if point is not None), default=None)
     cutoff = q + Fraction(1, n * (n + 1))
-    best: Fraction | None = None
-    for j in range(1, n + 1):
-        cand = _min_jterm_above(q, j, best if best is not None else cutoff)
-        if cand is not None and (best is None or cand < best):
-            best = cand
-    if best is None:
+    if best is None or best > cutoff:
         raise ValueError(f"no sum of at most {n} unit fractions lies in ({format_rational(q)}, "
                          f"{format_rational(cutoff)}]: {format_rational(q)} is not a level-{n} best value")
     return best

@@ -1,11 +1,15 @@
-"""The Fraction min-above search with its cutoff test, kept as an oracle.
+"""The Fraction min-above search with a cutoff, kept as an oracle.
 
-``min_jterm_above`` is ``egy.search._min_jterm_above`` as it was while it
-still tested each child against the cutoff, a test that always holds (a
-child 1/m lies below q - p, and the cutoff above q).  ``next_point_above``
-is the window loop of ``egy.search.next_point_above`` without its
-precondition checks.  Both spend from the budget object they are given, so
-``tests/test_search.py`` can compare the value and the budget left.
+``min_jterm_above`` is the j-term min-above search written as a walk that
+keeps the best point in a closure and drops every point above the cutoff
+(or above the best so far), spending one unit per node and per loop step.
+It also tests each child against that bound, a test that always holds (a
+child 1/m lies below q - p, and the cutoff above q).
+``egy.search._min_jterm_above`` is the same search as a plain recursive
+min with no cutoff, and spends nothing itself.  ``next_point_above`` is a
+window loop over j = 1..n without the precondition checks, doubling the
+window until a point turns up.  Both spend from the budget object they are
+given, so ``tests/test_search.py`` can compare the value and the units.
 """
 
 from fractions import Fraction

@@ -19,7 +19,7 @@ from egy.partition import (
     refinement_check,
 )
 from egy.rational import harmonic
-from egy.search import best_underapprox
+from egy.search import best_underapprox, next_point_above
 
 
 def test_cell_validation():
@@ -140,6 +140,23 @@ def test_refinement_random(rng):
         x = random_rational(rng, max_den=80)
         for n in (2, 3):
             assert refinement_check(x, n)
+
+
+def test_refinement_reads_the_coarse_cell_first(monkeypatch):
+    # for x > H_(n-1) the coarse cell is the unbounded one, which holds the
+    # level-n cell, so no right endpoint is searched for; below, one per level
+    levels = []
+
+    def counted(q, n, *args, **kwargs):
+        levels.append(n)
+        return next_point_above(q, n, *args, **kwargs)
+
+    monkeypatch.setattr("egy.partition.next_point_above", counted)
+    assert refinement_check(Fraction(7, 4), 3)  # H_2 = 3/2 < 7/4 <= H_3
+    assert refinement_check(Fraction(10), 3)
+    assert levels == []
+    assert refinement_check(Fraction(11, 24), 2)
+    assert levels == [1, 2]
 
 
 def test_next_regular_above_examples():

@@ -9,10 +9,11 @@ import pytest
 import oracle_has_rep
 import oracle_min_above
 from conftest import random_rational
-from egy import search
+from egy import _kernels, search
 from egy.greedy import greedy_underapprox, greedy_value
-from egy.measure import chain_check, sample_chain_density
-from egy.partition import cell_of, cells_in_window, next_regular_above
+from egy.lemma1 import xk
+from egy.measure import chain_check, sample_chain_density, wilson_interval
+from egy.partition import cell_of, cells_in_window, next_regular_above, refinement_check
 from egy.rational import harmonic
 from egy.search import (
     NodeBudgetExceeded,
@@ -290,6 +291,28 @@ def test_raises_name_long_operands_under_the_default_digit_limit():
         sys.set_int_max_str_digits(saved)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: wilson_interval(0, -10**5000), r"needs trials >= 1, got -1\d{5000}$"),
+    (lambda: wilson_interval(-10**5000, 5), r"successes <= trials, got -1\d{5000}/5$"),
+    (lambda: refinement_check(Fraction(1, 2), -10**5000), r"needs n >= 2, got -1\d{5000}$"),
+    (lambda: xk(-10**5000, 0), r"needs i >= 2, got -1\d{5000}$"),
+    (lambda: xk(5, -10**5000), r"needs 0 <= k <= 3, got -1\d{5000}$"),
+    (lambda: next(_kernels.iter_min_competitors(-10**5000)), r"need i >= 2, got -1\d{5000}$"),
+    (lambda: next(_kernels.iter_direct_terms(-10**5000)), r"need i >= 2, got -1\d{5000}$"),
+], ids=["wilson_trials", "wilson_successes", "refinement_check", "xk_i", "xk_k",
+        "iter_min_competitors", "iter_direct_terms"])
+def test_argument_errors_name_long_ints_under_the_default_digit_limit(call, message):
+    # each raises its own ValueError, not the interpreter's int-to-str one
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        with pytest.raises(ValueError) as info:
+            call()
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert re.search(message, str(info.value))
+
+
 def test_next_point_above_rejects_values_without_a_next_point():
     # H_n is the largest sum of at most n unit fractions, and at n = 2 the
     # sums 1 + 1/b above 1 have no least element: neither value has a
@@ -467,7 +490,9 @@ def test_next_point_above_matches_oracle(budgets, rng):
 
 def test_min_above_work_counts_the_oracle_units(rng):
     # the count is the units the Fraction search spends, also where a
-    # consecutive run lands exactly on q; past limit it stops in (limit, U]
+    # consecutive run lands exactly on q; past limit it stops in (limit, U];
+    # the recursive min finds the oracle's point, also where the last gap
+    # is a unit fraction 1/m and the leaf must take m - 1
     qs = [sum(Fraction(1, m + t) for t in range(r)) for m in range(1, 7) for r in (2, 3, 4)]
     qs += [sum(Fraction(1, rng.randrange(2, 30)) for _ in range(rng.randrange(1, 4)))
            for _ in range(40)]
@@ -476,9 +501,10 @@ def test_min_above_work_counts_the_oracle_units(rng):
         for j in range(1, 5):
             budget = _Budget(5_000)
             try:
-                oracle_min_above.min_jterm_above(q, j, q + 1, budget)
+                point = oracle_min_above.min_jterm_above(q, j, q + 1, budget)
             except NodeBudgetExceeded:
                 continue
+            assert search._min_jterm_above(q, Fraction(0), j, 0) == point, (q, j)
             units = 5_000 - budget.left
             for limit in sorted({*range(min(units, 60) + 1), units - 1, units, 10**9}):
                 work = search._min_above_work(q.numerator, q.denominator, j, 0, limit)
