@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,31 +87,26 @@ def chain_check(
         raise ValueError(f"chain_check() needs x <= harmonic({n0}), got {format_rational(x)}")
     values: list[Fraction] = []
     diffs: list[Fraction] = []
-    verdict = True
     failure: int | None = None
-    last_denom = 0
     for level in range(n0, t + 1):
         value, _ = best_underapprox(x, level, node_budget)
         values.append(value)
         if level > n0:
             diff = value - values[-2]
             diffs.append(diff)
-            if diff.numerator == 1 and diff.denominator > last_denom:
-                last_denom = diff.denominator
-            else:
-                verdict = False
-                if failure is None:
-                    failure = level
+            # before the first failure the previous denominator is the largest one
+            increasing = len(diffs) == 1 or diff.denominator > diffs[-2].denominator
+            if failure is None and not (diff.numerator == 1 and increasing):
+                failure = level
                 if stop_on_failure:
                     break
     base_rep: EgyptianRep | None = None
-    if verdict:
+    if failure is None:
         if n0 == 0:
             base_rep = EgyptianRep(())
         else:
             base_rep = has_representation(values[0], n0, diffs[0].denominator - 1, node_budget)
             if base_rep is None:
-                verdict = False
                 failure = n0
     return ChainReport(
         x=x,
@@ -118,7 +114,7 @@ def chain_check(
         t=t,
         best_values=tuple(values),
         diffs=tuple(diffs),
-        verdict=verdict,
+        verdict=failure is None,
         failure_level=failure,
         base_rep=base_rep,
     )
@@ -218,22 +214,17 @@ def sample_chain_density(
     scale = 1 << bits
     top = (hs.numerator * scale) // hs.denominator
     rng = random.Random(seed)
-    passes = fails = undecided = 0
     rows: list[tuple[Fraction, str, int | None]] = []
     for _ in range(count):
         x = Fraction(rng.randrange(1, top + 1), scale)
         try:
             report = chain_check(x, s, t, stop_on_failure=True, node_budget=node_budget)
         except ResourceLimitError:
-            undecided += 1
             rows.append((x, "undecided", None))
-            continue
-        if report.verdict:
-            passes += 1
-            rows.append((x, "pass", None))
         else:
-            fails += 1
-            rows.append((x, "fail", report.failure_level))
+            rows.append((x, "pass" if report.verdict else "fail", report.failure_level))
+    tally = Counter(verdict for _, verdict, _ in rows)
+    passes, fails = tally["pass"], tally["fail"]
     decided = passes + fails
     if decided:
         fraction = Fraction(passes, decided)
@@ -248,7 +239,7 @@ def sample_chain_density(
         bits=bits,
         passes=passes,
         fails=fails,
-        undecided=undecided,
+        undecided=tally["undecided"],
         fraction=fraction,
         wilson_low=low,
         wilson_high=high,
@@ -298,6 +289,10 @@ def cell_decay_bound(
       + sum over i0 < i <= i_max of (|I_i| - certified non-greedy part)
       + 1/i_max              (slices beyond i_max counted as surviving).
 
+    The exceptional part, the slices' 1/i0 - 1/i_max and the tail add up to
+    r - q, so the bound is r - q minus the certified parts; when
+    i_max <= i0 nothing is certified and the bound is r - q.
+
     slice_bound picks the certificate: "exact" runs the full competitor
     enumeration per slice (only viable for small i ranges); "lemma" uses the
     verified one-permille lower bound for slices with i >= 1000 (and nothing
@@ -317,27 +312,19 @@ def cell_decay_bound(
     note = None
     if i_max <= i0:
         note = "i_max <= i0: tail dominates, the bound is vacuous"
-        upper = length
+        certified = ZERO
+    elif slice_bound == "exact":
+        certified, _ = exact_measure(
+            range(i0 + 1, i_max + 1), node_budget,
+            f"the exact slice bound over i = {format_rational(i0 + 1)}..{format_rational(i_max)}",
+        )
+    elif i_max < 1000:
+        certified = ZERO
+        note = "no slice reaches i >= 1000; lemma bound certifies nothing"
     else:
-        exceptional = length - Fraction(1, i0)
-        slices_total = Fraction(1, i0) - Fraction(1, i_max)  # sum of |I_i|
-        if slice_bound == "exact":
-            certified, _ = exact_measure(
-                range(i0 + 1, i_max + 1), node_budget,
-                f"the exact slice bound over i = {format_rational(i0 + 1)}..{format_rational(i_max)}",
-            )
-        else:
-            start = max(i0 + 1, 1000)
-            if start <= i_max:
-                # sum of |I_i| over i >= start telescopes to 1/(start-1) - 1/i_max
-                covered = Fraction(1, start - 1) - Fraction(1, i_max)
-                certified = covered / 1000
-            else:
-                certified = ZERO
-                note = "no slice reaches i >= 1000; lemma bound certifies nothing"
-        upper = exceptional + (slices_total - certified) + Fraction(1, i_max)
-        if upper > length:
-            upper = length
+        # |I_i| over max(i0 + 1, 1000) <= i <= i_max telescopes to 1/max(i0, 999) - 1/i_max
+        certified = (Fraction(1, max(i0, 999)) - Fraction(1, i_max)) / 1000
+    upper = length - certified
     return DecayReport(
         cell_lower=cell.lower,
         cell_upper=cell.upper,

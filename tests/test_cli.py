@@ -344,6 +344,15 @@ GOLDEN_STDOUT = [
      "0544a5adb41af417508c655231e024f1c68836fe5c5d62637529319a55338248"),
     (("cells", "1/3", "1/2", "2", "--max-cells", "3"),
      "4d501ece50e36819d069f7bb4d7bb3a47f038f8149104f927878c0248bd02941"),
+    # the README's chain example: passes with diffs 1/2, 1/3, 1/7, 1/43
+    (("chain", "1", "0", "4"),
+     "a76e35ec7e1b5277712081ae2588ce8aec45130c3f6f66e6d00bdc0563cf2280"),
+    # fails at level 2 on 7/60 and still prints the unit diffs 1/221, 1/48621
+    (("chain", "5/11", "1", "4"),
+     "ab6b2057c3df1ceaf3a5bb2a193a5c77e9ad7ac8c9538a9af5831bf8661aef5d"),
+    # 100 pass, 40 fail, 60 undecided
+    (("sample", "2", "4", "--count", "200", "--seed", "7", "--node-budget", "3000"),
+     "a52d24f217f5334108b86322e5eeec8631403ac815565a54231ea6560c8d914e"),
 ]
 
 

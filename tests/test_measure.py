@@ -1,9 +1,11 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import oracle_chain
 from conftest import random_rational
-from egy import search
+from egy import lemma1, measure, search
 from egy.measure import (
     MeasureEnclosure,
     cell_decay_bound,
@@ -13,6 +15,7 @@ from egy.measure import (
 )
 from egy.partition import Cell, cell_of
 from egy.rational import harmonic
+from egy.search import ResourceLimitError
 
 
 def test_chain_fixture_unit_target():
@@ -84,6 +87,61 @@ def test_chain_monotone(rng):
                 assert shorter.verdict
 
 
+def _outcome(check, *args):
+    try:
+        return check(*args)
+    except ResourceLimitError as exc:
+        return type(exc), str(exc)
+
+
+def test_chain_matches_two_variable_oracle(rng):
+    # the failure level alone carries the verdict: diff against the loop
+    # that kept a verdict flag and the last accepted denominator beside it
+    cases = [(x, n0, t, stop, None) for x, n0, t in [(Fraction(5, 11), 1, 4), (Fraction(11, 24), 1, 3),
+                                                    (Fraction(13, 16), 2, 4)] for stop in (False, True)]
+    for _ in range(600):
+        n0 = rng.choice((0, 1, 2))
+        x = random_rational(rng, max_den=120, hi=harmonic(n0) if n0 else Fraction(2))
+        cases.append((x, n0, rng.randrange(n0 + 1, n0 + 3), rng.choice((False, True)),
+                      rng.choice((None, 60, 400, 3000))))
+
+    def fields(x, n0, t, stop, budget):
+        r = chain_check(x, n0, t, stop_on_failure=stop, node_budget=budget)
+        return r.best_values, r.diffs, r.verdict, r.failure_level, r.base_rep
+
+    seen = Counter()
+    for case in cases:
+        want = _outcome(oracle_chain.chain_check, *case)
+        assert _outcome(fields, *case) == want, case
+        if len(want) == 2:
+            seen["raised"] += 1
+        elif want[2]:
+            seen["pass"] += 1
+        else:
+            seen["fail"] += 1
+            # stop_on_failure=False goes on computing diffs past the failure
+            seen["diffs past the failure"] += len(want[1]) > want[3] - case[1]
+    assert all(seen[k] for k in ("raised", "pass", "fail", "diffs past the failure")), seen
+
+
+@pytest.mark.parametrize("denoms, failure", [((2, 3, 3, 100), 3), ((2, 5, 4, 100), 3), ((2, 3, 7, 43), None)])
+def test_chain_unit_diffs_must_strictly_increase(monkeypatch, denoms, failure):
+    # unit differences whose denominators do not increase turn up in no
+    # small search, so the best values the chain reads are scripted here
+    values = [sum((Fraction(1, d) for d in denoms[:k]), Fraction(0)) for k in range(len(denoms) + 1)]
+
+    def scripted(x, level, node_budget=None):
+        return values[level], None
+
+    monkeypatch.setattr(measure, "best_underapprox", scripted)
+    monkeypatch.setattr(oracle_chain, "best_underapprox", scripted)
+    for stop in (False, True):
+        r = chain_check(Fraction(2), 0, len(denoms), stop_on_failure=stop)
+        assert (r.verdict, r.failure_level) == (failure is None, failure)
+        assert (r.best_values, r.diffs, r.verdict, r.failure_level, r.base_rep) == \
+            oracle_chain.chain_check(Fraction(2), 0, len(denoms), stop)
+
+
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(50, 100)
     assert 0 <= lo < Fraction(1, 2) < hi <= 1
@@ -105,6 +163,16 @@ def test_sample_determinism():
     assert 0 <= a.fraction <= 1
     assert a.wilson_low <= a.fraction <= a.wilson_high
     assert a.passes + a.fails + a.undecided == 50
+
+
+def test_sample_counts_tally_the_rows():
+    # a budget small enough that some samples are undecided
+    report = sample_chain_density(2, 4, 60, 7, 32, node_budget=3000)
+    verdicts = Counter(line.split(",")[1] for line in report.to_csv().splitlines()[1:])
+    assert (report.passes, report.fails, report.undecided) == (
+        verdicts["pass"], verdicts["fail"], verdicts["undecided"])
+    assert report.passes + report.fails + report.undecided == report.count == 60
+    assert report.passes and report.fails and report.undecided
 
 
 def test_sample_preconditions():
@@ -184,3 +252,57 @@ def test_decay_report_dict():
     assert d["i0"] == 1001
     assert d["slice_bound"] == "lemma"
     assert set(d) == {"cell", "level", "i0", "i_max", "slice_bound", "enclosure", "ratio", "note"}
+
+
+def _decay_oracle(cell, i_max, slice_bound):
+    """The paper's decomposition of the cell, slice by slice: the exceptional
+    part r - q - 1/i0, each slice's |I_i| less its own certificate, and the
+    tail 1/i_max; the whole length when i_max <= i0.  Also the report's i0
+    and note."""
+    length = cell.upper - cell.lower
+    i0 = 1
+    while Fraction(1, i0) >= length:
+        i0 += 1
+    if i_max <= i0:
+        return i0, length, "i_max <= i0: tail dominates, the bound is vacuous"
+    note = None if slice_bound == "exact" or i_max >= 1000 else \
+        "no slice reaches i >= 1000; lemma bound certifies nothing"
+    upper = length - Fraction(1, i0)
+    for i in range(i0 + 1, i_max + 1):
+        width = Fraction(1, i - 1) - Fraction(1, i)
+        if slice_bound == "exact":
+            certified, _ = lemma1.exact_measure(range(i, i + 1), None, f"slice {i}")
+        else:
+            certified = width / 1000 if i >= 1000 else Fraction(0)
+        upper += width - certified
+    return i0, upper + Fraction(1, i_max), note
+
+
+@pytest.mark.parametrize("length, level, i_max, slice_bound", [
+    # i0 < 999
+    (Fraction(1, 40), 5, 41, "lemma"),
+    (Fraction(1, 40), 5, 60, "lemma"),
+    (Fraction(1, 40), 5, 999, "lemma"),
+    (Fraction(1, 40), 5, 1000, "lemma"),
+    (Fraction(1, 40), 5, 1400, "lemma"),
+    (Fraction(1, 997), 30, 1003, "lemma"),  # i0 = 998
+    (Fraction(1, 40), 5, 30, "exact"),
+    (Fraction(1, 40), 5, 48, "exact"),
+    (Fraction(3, 61), 4, 28, "exact"),  # i0 = 21
+    # i0 >= 999
+    (Fraction(2, 1997), 31, 999, "lemma"),  # i0 = 999
+    (Fraction(2, 1997), 31, 1500, "lemma"),
+    (Fraction(1, 1000), 31, 1001, "lemma"),  # i0 = 1001
+    (Fraction(1, 1000), 31, 1002, "lemma"),
+    (Fraction(1, 1000), 31, 2500, "lemma"),
+    # exact slices at i >= 1000 take over a minute each, so only i_max <= i0
+    (Fraction(1, 1000), 31, 1001, "exact"),
+    (Fraction(1, 1000), 31, 800, "exact"),
+])
+def test_decay_bound_matches_slice_decomposition(length, level, i_max, slice_bound):
+    cell = Cell(level=level, lower=Fraction(1, 3), upper=Fraction(1, 3) + length, best_rep=None)
+    i0, upper, note = _decay_oracle(cell, i_max, slice_bound)
+    report = cell_decay_bound(cell, i_max, slice_bound)
+    assert (report.i0, report.note) == (i0, note)
+    assert report.enclosure == MeasureEnclosure(Fraction(0), upper)
+    assert report.ratio == upper / length
