@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from fractions import Fraction
 
 from .greedy import _greedy_terms
 from .lemma1 import MODES, lemma1_certificate, nongreedy_two_term_measure
@@ -160,8 +162,6 @@ def _run(args: argparse.Namespace) -> str:
     elif args.command == "lemma1":
         report = lemma1_certificate(args.i, args.mode, budget).to_dict()
     elif args.command == "nongreedy":
-        from fractions import Fraction
-
         scale = (args.i - 1) * args.i
         measure, ratio = format_rational_scaled(nongreedy_two_term_measure(args.i, budget), scale)
         report = {
@@ -189,7 +189,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.json and args.csv:
         parser.error("--json and --csv are mutually exclusive")
-    if args.threads is not None and args.threads < 1:
+    if args.threads < 1:
         parser.error("--threads must be >= 1")
     if args.node_budget is not None and args.node_budget < 1:
         parser.error("--node-budget must be >= 1")
@@ -206,8 +206,6 @@ def main(argv: list[str] | None = None) -> int:
         sys.stdout.flush()
     except BrokenPipeError:
         # downstream consumer (head, etc.) closed the pipe; not an error
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0
 

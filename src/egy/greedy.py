@@ -73,10 +73,10 @@ def greedy_completion(
 
 def _greedy_terms(x: Fraction, n: int) -> tuple[list[int], Fraction]:
     """The first n greedy denominators of x > 0 and their exact sum."""
+    x = Fraction(x)
     if x <= 0:
         raise ValueError(f"greedy_underapprox() needs x > 0, got {format_rational(x)}")
     level_harmonic(n, 0, "greedy_underapprox")
-    x = Fraction(x)
     denoms, vn, vd = greedy_completion(x.numerator, x.denominator, n)
     return denoms, _from_reduced(vn, vd)
 
@@ -93,4 +93,5 @@ def greedy_value(x: Fraction, n: int) -> Fraction:
 
 def greedy_gap(x: Fraction, n: int) -> Fraction:
     """x minus its greedy n-term value; strictly positive."""
+    x = Fraction(x)
     return x - greedy_value(x, n)

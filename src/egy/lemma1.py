@@ -17,10 +17,12 @@ All arithmetic is exact and on integers: each check is a cross-multiplied
 inequality on x_k = p/q, each mode's terms stream as raw (num, den)
 pairs, not reduced, into the summation stack of ``egy.rational`` as they
 are produced, and the certified measure becomes a ``Fraction`` once, at
-the end.  Their denominators are a small power of i (67 bits for the
-paper and direct terms at i = 2048), far below the 1024 bits from which
-``sum_pairs`` wants pairs reduced, so it reduces them by one gcd per run
-of terms.  No mode holds its terms or competitors in a list: a
+the end.  A mode's selected count is the number of pairs it sums: one
+per l (paper), per non-integer x_k (direct) or per greedy cell, empty
+parts included (exact).  The denominators are a small power of i (67
+bits for the paper and direct terms at i = 2048), far below the 1024
+bits from which ``sum_pairs`` wants pairs reduced, so it reduces them by
+one gcd per run of terms.  No mode holds its terms or competitors in a list: a
 certificate keeps O(i) state besides its result.  Any verification
 failure raises CertificateError naming the violated inequality and its
 witness, at the term where it happens.  The enumerations are charged to
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from . import _kernels
 from .rational import format_rational, format_rational_scaled, sum_pairs
@@ -143,24 +145,24 @@ def _paper_terms(i: int) -> Iterator[tuple[int, int]]:
         yield num, den
 
 
-def _paper_certificate(i: int) -> tuple[Fraction, int]:
-    total = sum_pairs(_paper_terms(i))
-    if total.numerator * 1000 * (i - 1) * i <= total.denominator:
-        raise CertificateError(f"certified total {format_rational(total)} below 1 permille at i={i}")
-    lo, hi = _paper_range(i)
-    return total, hi - lo + 1  # one term per l, or a CertificateError
-
-
-def _direct_certificate(i: int) -> tuple[Fraction, int]:
+def _counted_sum(pairs: Iterable[tuple[int, int]]) -> tuple[Fraction, int]:
+    """The exact sum of the pairs and how many there were."""
     count = 0
 
-    def terms() -> Iterator[tuple[int, int]]:
+    def counted() -> Iterator[tuple[int, int]]:
         nonlocal count
-        for _, num, den in _kernels.iter_direct_terms(i):
+        for pair in pairs:
             count += 1
-            yield num, den
+            yield pair
 
-    return sum_pairs(terms()), count
+    return sum_pairs(counted()), count
+
+
+def _paper_certificate(i: int) -> tuple[Fraction, int]:
+    total, count = _counted_sum(_paper_terms(i))
+    if total.numerator * 1000 * (i - 1) * i <= total.denominator:
+        raise CertificateError(f"certified total {format_rational(total)} below 1 permille at i={i}")
+    return total, count
 
 
 def nongreedy_two_term_measure(i: int, node_budget: int | None = None) -> Fraction:
@@ -169,9 +171,9 @@ def nongreedy_two_term_measure(i: int, node_budget: int | None = None) -> Fracti
     Competitors 1/a + 1/b need i < a < b (a <= i is dominated by the greedy
     choice, a >= 2i makes the sum too small) and land in the greedy cell
     C_j; everything in C_j above the cell's minimal competitor is non-greedy.
-    A competitor equal to the cell's left endpoint ties greedy and
-    contributes nothing (its cell part is empty).  Spends one unit of
-    node_budget per enumerated pair (a, b).
+    A minimal competitor at its cell's right end, the greedy value of the
+    cell above, contributes nothing (its cell part is empty).  Spends one
+    unit of node_budget per enumerated pair (a, b).
     """
     if i < 2:
         raise ValueError(f"nongreedy_two_term_measure() needs i >= 2, got {format_rational(i)}")
@@ -180,7 +182,9 @@ def nongreedy_two_term_measure(i: int, node_budget: int | None = None) -> Fracti
 
 def exact_measure(slices: range, node_budget: int | None, what: str) -> tuple[Fraction, int]:
     """The total measure of the non-greedy sets N_i over the slices i, and
-    the number of greedy cells that ``iter_min_competitors`` yields for them.
+    the number of pairs it sums: one per greedy cell that
+    ``iter_min_competitors`` yields, empty parts included (a minimal
+    competitor at its cell's right end; about 1% of the cells).
 
     First one unit per competitor pair (a, b) of every slice is charged,
     before any slice is enumerated: the count is closed form per a and
@@ -194,20 +198,15 @@ def exact_measure(slices: range, node_budget: int | None, what: str) -> tuple[Fr
         if need > budget.left:
             break
     budget.require(need, what)
-    cells = 0
 
     def parts() -> Iterator[tuple[int, int]]:
-        nonlocal cells
         for i in slices:
             for j, s_num, s_den in _kernels.iter_min_competitors(i):
-                cells += 1
                 # 1/i + 1/(j-1) - s_num/s_den over the common denominator i(j-1) s_den
                 right_den = i * (j - 1)
-                num = (i + j - 1) * s_den - s_num * right_den
-                if num > 0:
-                    yield num, right_den * s_den
+                yield (i + j - 1) * s_den - s_num * right_den, right_den * s_den
 
-    return sum_pairs(parts()), cells
+    return _counted_sum(parts())
 
 
 def lemma1_certificate(i: int, mode: str = "paper", node_budget: int | None = None) -> Lemma1Report:
@@ -230,7 +229,7 @@ def lemma1_certificate(i: int, mode: str = "paper", node_budget: int | None = No
         measure, selected = _paper_certificate(i)
     elif mode == "direct":
         _Budget(node_budget).require(i * (i + 1) // 10 + 1, what)
-        measure, selected = _direct_certificate(i)
+        measure, selected = _counted_sum((num, den) for _, num, den in _kernels.iter_direct_terms(i))
     else:  # exact_measure charges its own budget
         measure, selected = exact_measure(range(i, i + 1), node_budget, what)
     interval = Fraction(1, (i - 1) * i)

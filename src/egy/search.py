@@ -216,16 +216,14 @@ def best_underapprox(
             )
             budget.spend(iters)
             if found:
+                # final: p + 1/a + 1/b beats inc, or ties it under allow_equal.
+                # A tie with prefix < inc_rep[:k] is a smaller witness; with
+                # equal prefixes the incumbent's own pair is a tie the scan
+                # reaches, and the kernel keeps the lowest-a tie.
                 cn, cd = pn * bd + bn * pd, pd * bd  # p + bn/bd
-                cmp = cn * vd - vn * cd
-                if cmp > 0:
-                    g_cand = gcd(cn, cd)
-                    vn, vd = cn // g_cand, cd // g_cand
-                    inc_rep = prefix + [a, b]
-                elif cmp == 0:
-                    new_rep = prefix + [a, b]
-                    if new_rep < inc_rep:
-                        inc_rep = new_rep
+                g = gcd(cn, cd)
+                vn, vd = cn // g, cd // g
+                inc_rep = prefix + [a, b]
             return
         # densest possible completion from m uses consecutive denominators
         rn, rd = _consecutive_run(m, r)

@@ -1,3 +1,4 @@
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -13,7 +14,10 @@ from egy.greedy import (
     greedy_underapprox,
     greedy_value,
 )
+from egy.measure import chain_check
+from egy.partition import cell_of, next_regular_above, refinement_check
 from egy.rational import rep_value
+from egy.search import best_underapprox, has_representation, next_point_above
 
 positive_rationals = st.fractions(min_value=Fraction(1, 10**6), max_value=100)
 
@@ -149,3 +153,33 @@ def test_completion_of_tiny_x_at_the_term_limit():
     # 1/10^30 has 100 bits, and its twelfth greedy denominator about 200,000
     _same_as_oracle(1, 10**30, DEFAULT_MAX_TERMS)
     _same_as_oracle(7, 7 * 10**30, DEFAULT_MAX_TERMS, 1, 10**31)
+
+
+_X_ENGINES = {
+    "greedy_underapprox": lambda x: greedy_underapprox(x, 2),
+    "greedy_value": lambda x: greedy_value(x, 2),
+    "greedy_gap": lambda x: greedy_gap(x, 2),
+    "best_underapprox": lambda x: best_underapprox(x, 2),
+    "cell_of": lambda x: cell_of(x, 2),
+    "refinement_check": lambda x: refinement_check(x, 2),
+    "next_regular_above": lambda x: next_regular_above(x, 2),
+    "chain_check": lambda x: chain_check(x, 0, 3),
+    "has_representation": lambda x: has_representation(x, 2),
+    "next_point_above": lambda x: next_point_above(x, 2),
+}
+
+
+def _outcome(run, x):
+    try:
+        return "ok", run(x)
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("engine", sorted(_X_ENGINES))
+@pytest.mark.parametrize("x", ["11/24", Decimal("0.5"), 0.5, 1])
+def test_engines_coerce_x_like_fraction(engine, x):
+    # every engine that takes x accepts what Fraction() accepts, with the
+    # result or the error of Fraction(x)
+    run = _X_ENGINES[engine]
+    assert _outcome(run, x) == _outcome(run, Fraction(x))

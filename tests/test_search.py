@@ -131,11 +131,7 @@ def test_monotone_in_x_and_n(rng):
 
 
 def test_lexicographic_tie_break():
-    # 1/2 = 1/3 + 1/6 = 1/4 + 1/4 (invalid); values 1/a + 1/b tie rarely,
-    # so build one: x just above 5/6 makes both [2,3] optimal and unique,
-    # but 5/6 = 1/2 + 1/3 only; use a genuine tie instead:
-    # 1/3 + 1/8 = 11/24 = 1/4 + 1/5 + 1/120... two-term ties:
-    # 1/2 + 1/12 = 7/12 = 1/3 + 1/4.  Probe just above 7/12.
+    # 7/12 = 1/2 + 1/12 = 1/3 + 1/4: just above it both pairs are optimal
     x = Fraction(7, 12) + Fraction(1, 10**6)
     value, rep = best_underapprox(x, 2)
     assert value == Fraction(7, 12)
