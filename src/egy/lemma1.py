@@ -31,12 +31,11 @@ the node budget, in closed form, before they start.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .rational import format_rational, format_rational_scaled, sum_pairs
+from .rational import _Record, format_rational, format_rational_scaled, sum_pairs
 from .search import _Budget
 
 _PERMILLE = Fraction(1, 1000)
@@ -48,8 +47,7 @@ class CertificateError(ArithmeticError):
     """A verification step of the certificate failed; message has a witness."""
 
 
-@dataclass(frozen=True)
-class Lemma1Report:
+class Lemma1Report(_Record):
     i: int
     mode: str
     selected_count: int

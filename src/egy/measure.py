@@ -12,21 +12,19 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .greedy import level_harmonic
 from .lemma1 import exact_measure
 from .partition import Cell
-from .rational import ZERO, ONE, EgyptianRep, format_rational, harmonic
+from .rational import ZERO, ONE, EgyptianRep, _Record, format_rational, harmonic
 from .search import ResourceLimitError, best_underapprox, has_representation
 
 # 99% two-sided normal quantile, fixed rational constant
 WILSON_Z99 = Fraction(2575829303549, 10**12)
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(_Record):
     x: Fraction
     n0: int
     t: int
@@ -49,8 +47,7 @@ class ChainReport:
         }
 
 
-@dataclass(frozen=True)
-class MeasureEnclosure:
+class MeasureEnclosure(_Record):
     """Certified lower <= true measure <= upper."""
 
     lower: Fraction
@@ -146,8 +143,7 @@ def wilson_interval(successes: int, trials: int, z: Fraction = WILSON_Z99) -> tu
     return max(ZERO, lo), min(ONE, hi)
 
 
-@dataclass(frozen=True)
-class SampleReport:
+class SampleReport(_Record):
     s: int
     t: int
     count: int
@@ -247,8 +243,7 @@ def sample_chain_density(
     )
 
 
-@dataclass(frozen=True)
-class DecayReport:
+class DecayReport(_Record):
     cell_lower: Fraction
     cell_upper: Fraction
     level: int

@@ -16,16 +16,14 @@ reads each tail off that closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .greedy import level_harmonic
-from .rational import ZERO, EgyptianRep, format_rational
+from .rational import ZERO, EgyptianRep, _Record, _setfield, format_rational
 from .search import best_underapprox, next_point_above
 
 
-@dataclass(frozen=True)
-class Cell:
+class Cell(_Record):
     """One partition cell (lower, upper]; upper is None for (H_n, inf)."""
 
     level: int
@@ -33,19 +31,24 @@ class Cell:
     upper: Fraction | None
     best_rep: EgyptianRep | None
 
-    def __post_init__(self) -> None:
-        if self.level < 1:
-            raise ValueError(f"cell level must be >= 1, got {format_rational(self.level)}")
-        if self.lower < 0:
-            raise ValueError(f"cell lower endpoint must be >= 0, got {format_rational(self.lower)}")
-        if self.upper is not None:
-            if self.lower >= self.upper:
-                raise ValueError(f"empty cell ({format_rational(self.lower)}, {format_rational(self.upper)}]")
-            cap = Fraction(1, self.level * (self.level + 1))
-            if self.upper - self.lower > cap:
+    def __init__(self, level: int, lower: Fraction, upper: Fraction | None,
+                 best_rep: EgyptianRep | None) -> None:
+        _setfield(self, "level", level)
+        _setfield(self, "lower", lower)
+        _setfield(self, "upper", upper)
+        _setfield(self, "best_rep", best_rep)
+        if level < 1:
+            raise ValueError(f"cell level must be >= 1, got {format_rational(level)}")
+        if lower < 0:
+            raise ValueError(f"cell lower endpoint must be >= 0, got {format_rational(lower)}")
+        if upper is not None:
+            if lower >= upper:
+                raise ValueError(f"empty cell ({format_rational(lower)}, {format_rational(upper)}]")
+            cap = Fraction(1, level * (level + 1))
+            if upper - lower > cap:
                 raise ValueError(
-                    f"bounded level-{format_rational(self.level)} cell longer than {format_rational(cap)}: "
-                    f"({format_rational(self.lower)}, {format_rational(self.upper)}]"
+                    f"bounded level-{format_rational(level)} cell longer than {format_rational(cap)}: "
+                    f"({format_rational(lower)}, {format_rational(upper)}]"
                 )
 
     def length(self) -> Fraction | None:

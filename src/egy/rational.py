@@ -2,8 +2,9 @@
 
 Every quantity in this package is an exact ``fractions.Fraction`` -- there is
 no floating point anywhere.  This module adds the handful of primitives the
-rest of the code is built on: harmonic numbers, the representation type for
-sums of distinct unit fractions, string (de)serialization in ``p/q`` form,
+rest of the code is built on: harmonic numbers, the immutable record base of
+the package's result types, the representation type for sums of distinct
+unit fractions, string (de)serialization in ``p/q`` form,
 and the one exact summation path over integer (num, den) pairs.  Pairs
 with a narrow denominator need not be reduced: runs of consecutive ones
 are added by plain cross-multiplication and reduced by one gcd per run.
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import decimal
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -150,21 +150,81 @@ def harmonic(n: int) -> Fraction:
     return sum_exact(Fraction(1, k) for k in range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class EgyptianRep:
+_setfield = object.__setattr__  # sets a field past the records' refusing __setattr__
+
+
+class _Record:
+    """Base of the package's immutable result records.
+
+    A subclass lists its fields as class annotations, in order, after those
+    of the record it extends.  It gets a constructor that takes them by
+    position or keyword and then calls ``__post_init__``, the subclass's
+    check if it has one; ``==`` and ``hash`` by value within one class; a
+    repr naming every field; and no assignment to attributes.  The values
+    live in the instance ``__dict__``, so ``pickle`` and ``copy`` restore
+    them without calling ``__setattr__``, and the generic constructor fills
+    it in one update.  A record built once per search or per cell writes
+    out its own ``__init__`` instead, for speed, with the same fields: it
+    sets each with ``_setfield`` and checks them inline.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields = cls.__match_args__ = cls._fields + tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        values = dict(zip(fields, args), **kwargs) if args else kwargs
+        if len(values) != len(args) + len(kwargs) or values.keys() != set(fields):
+            raise TypeError(f"{type(self).__name__}() takes each of ({', '.join(fields)}) "
+                            "once, by position or keyword")
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self) -> None:
+        pass
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class EgyptianRep(_Record):
     """A sum of distinct unit fractions 1/m_1 + ... + 1/m_n, m_1 < ... < m_n.
 
-    The empty tuple is the unique 0-term representation, with value 0.
+    The denominators are ``int``s.  The empty tuple is the unique 0-term
+    representation, with value 0.
     """
 
     denominators: tuple[int, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, denominators: tuple[int, ...]) -> None:
+        _setfield(self, "denominators", denominators)
         prev = 0
-        for m in self.denominators:
-            if m <= prev:
+        for m in denominators:
+            if type(m) is not int or m <= prev:
+                shown = (format_rational(d) if type(d) is int else repr(d) for d in denominators)
                 raise ValueError("denominators must be strictly increasing positive integers, "
-                                 f"got ({', '.join(map(format_rational, self.denominators))})")
+                                 f"got ({', '.join(shown)})")
             prev = m
 
     def __len__(self) -> int:
@@ -177,8 +237,14 @@ class EgyptianRep:
         return rep_value(self)
 
 
-def make_rep(denominators: Sequence[int]) -> EgyptianRep:
-    return EgyptianRep(tuple(int(m) for m in denominators))
+def make_rep(denominators: Iterable) -> EgyptianRep:
+    """The representation with these denominators, each read as ``Fraction(m)``
+    reads it (so "4" is 4), and each required to be an integer."""
+    values = [Fraction(m) for m in denominators]
+    if any(v.denominator != 1 for v in values):
+        raise ValueError("denominators must be strictly increasing positive integers, "
+                         f"got ({', '.join(map(format_rational, values))})")
+    return EgyptianRep(tuple(v.numerator for v in values))
 
 
 def rep_value(rep: EgyptianRep) -> Fraction:

@@ -70,6 +70,20 @@ def test_rep_rejects_non_increasing(bad):
         make_rep(bad)
 
 
+def test_rep_rejects_non_integer_denominators():
+    # make_rep reads each value as Fraction(m) does, and an integer value is kept
+    assert make_rep(["4", "5"]) == make_rep([Fraction(8, 2), 5.0]) == EgyptianRep((4, 5))
+    with pytest.raises(ValueError, match=r"positive integers, got \(5/2, 3\)$"):
+        make_rep([2.5, 3])
+    with pytest.raises(ValueError, match=r"positive integers, got \(2, 7/3\)$"):
+        make_rep(["2", "7/3"])
+    # the record itself takes ints only: a bool or a float passes an order
+    # check and would fail only later, in rep_value
+    for bad, shown in [((2.0, 3), "2.0, 3"), ((True, 2), "True, 2"), ((2, "3"), "2, '3'")]:
+        with pytest.raises(ValueError, match=rf"positive integers, got \({shown}\)$"):
+            EgyptianRep(bad)
+
+
 @given(st.sets(st.integers(min_value=1, max_value=10**6), min_size=0, max_size=8))
 def test_rep_value_round_trip(denoms):
     rep = make_rep(sorted(denoms))

@@ -13,6 +13,8 @@ for a 1 and k zeros.  The script checks:
   ``Fraction(num, den)`` does;
 * ``rational.sum_pairs`` against ``Fraction`` addition on random narrow
   (unreduced) and wide (reduced) pairs;
+* each of the seven result records: built by position and by keyword,
+  compared, hashed, printed against its pinned repr and pickled;
 * every pair's argv through ``python -m egy``, by its exit code and the
   sha256 of its stdout.
 
@@ -37,7 +39,49 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parent.parent / "src"
 sys.path.insert(0, str(SRC))
 
+from egy import (  # noqa: E402
+    Cell,
+    ChainReport,
+    DecayReport,
+    EgyptianRep,
+    Lemma1Report,
+    MeasureEnclosure,
+    SampleReport,
+)
 from egy.rational import _from_reduced, sum_pairs  # noqa: E402
+
+F = Fraction
+# (record class, its fields by name, the repr the dataclass versions printed)
+RECORDS = [
+    (EgyptianRep, {"denominators": (4, 5)}, "EgyptianRep(denominators=(4, 5))"),
+    (Cell, {"level": 2, "lower": F(9, 20), "upper": F(11, 24), "best_rep": EgyptianRep((4, 5))},
+     "Cell(level=2, lower=Fraction(9, 20), upper=Fraction(11, 24), "
+     "best_rep=EgyptianRep(denominators=(4, 5)))"),
+    (Lemma1Report, {"i": 10, "mode": "paper", "selected_count": 3, "certified_measure": F(1, 1000),
+                    "interval_length": F(1, 90), "ratio": F(9, 100), "passed": True},
+     "Lemma1Report(i=10, mode='paper', selected_count=3, certified_measure=Fraction(1, 1000), "
+     "interval_length=Fraction(1, 90), ratio=Fraction(9, 100), passed=True)"),
+    (ChainReport, {"x": F(1), "n0": 0, "t": 2, "best_values": (F(0), F(1, 2), F(5, 6)),
+                   "diffs": (F(1, 2), F(1, 3)), "verdict": True, "failure_level": None,
+                   "base_rep": EgyptianRep(())},
+     "ChainReport(x=Fraction(1, 1), n0=0, t=2, best_values=(Fraction(0, 1), Fraction(1, 2), "
+     "Fraction(5, 6)), diffs=(Fraction(1, 2), Fraction(1, 3)), verdict=True, failure_level=None, "
+     "base_rep=EgyptianRep(denominators=()))"),
+    (MeasureEnclosure, {"lower": F(0), "upper": F(1, 7)},
+     "MeasureEnclosure(lower=Fraction(0, 1), upper=Fraction(1, 7))"),
+    (SampleReport, {"s": 2, "t": 3, "count": 2, "seed": 7, "bits": 32, "passes": 1, "fails": 1,
+                    "undecided": 0, "fraction": F(1, 2), "wilson_low": F(1, 10),
+                    "wilson_high": F(9, 10), "rows": ((F(1, 3), "pass", None), (F(2, 3), "fail", 3))},
+     "SampleReport(s=2, t=3, count=2, seed=7, bits=32, passes=1, fails=1, undecided=0, "
+     "fraction=Fraction(1, 2), wilson_low=Fraction(1, 10), wilson_high=Fraction(9, 10), "
+     "rows=((Fraction(1, 3), 'pass', None), (Fraction(2, 3), 'fail', 3)))"),
+    (DecayReport, {"cell_lower": F(1, 3), "cell_upper": F(23, 60), "level": 2, "i0": 21, "i_max": 26,
+                   "slice_bound": "exact", "enclosure": MeasureEnclosure(F(0), F(1, 7)),
+                   "ratio": F(20, 7), "note": None},
+     "DecayReport(cell_lower=Fraction(1, 3), cell_upper=Fraction(23, 60), level=2, i0=21, i_max=26, "
+     "slice_bound='exact', enclosure=MeasureEnclosure(lower=Fraction(0, 1), upper=Fraction(1, 7)), "
+     "ratio=Fraction(20, 7), note=None)"),
+]
 
 
 def fail(what):
@@ -81,6 +125,17 @@ def check_sum_pairs():
     print("ok sum_pairs on 300 random sums")
 
 
+def check_records():
+    for cls, fields, text in RECORDS:
+        record = cls(**fields)
+        same = cls(*fields.values())
+        if not (record == same and hash(record) == hash(same) and repr(record) == text
+                and pickle.loads(pickle.dumps(record)) == record
+                and [getattr(record, name) for name in fields] == list(fields.values())):
+            fail(f"{cls.__name__} record")
+    print(f"ok {len(RECORDS)} result records")
+
+
 def check_golden(golden):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     for argv, digest in golden:
@@ -99,4 +154,5 @@ if __name__ == "__main__":
     print("python", sys.version.split()[0])
     check_from_reduced()
     check_sum_pairs()
+    check_records()
     check_golden(json.loads(sys.argv[1]))
