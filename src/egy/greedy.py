@@ -83,7 +83,7 @@ def _greedy_terms(x: Fraction, n: int) -> tuple[list[int], Fraction]:
 
 def greedy_underapprox(x: Fraction, n: int) -> EgyptianRep:
     """First n greedy denominators for x > 0."""
-    return EgyptianRep(tuple(_greedy_terms(x, n)[0]))
+    return EgyptianRep(_greedy_terms(x, n)[0])
 
 
 def greedy_value(x: Fraction, n: int) -> Fraction:

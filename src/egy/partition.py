@@ -10,8 +10,11 @@ length bound: sums whose first l denominators are 1..l and whose remaining
 denominators m satisfy m_{k+1} >= (m_k - 1) m_k + 1 (each tail term at most
 the gap its predecessor left behind).  The densest tail is the Sylvester
 chain of equalities, and because m_{k+1} - 1 = m_k (m_k - 1) its terms
-telescope: r of them from m sum to 1/(m - 1) - 1/(m_r - 1).  The search
-reads each tail off that closed form.
+telescope: r of them from m sum to 1/(m - 1) - 1/(m_{r+1} - 1).  The search
+uses only the integer end m_{r+1}: capped near the gap's size to decide a
+denominator, and in full for a tail it returns.  That tail, with
+K = m_1 ... m_r, is (K - 1)/((m - 1) K); every m_k is 1 mod m - 1, so the
+pair ((K - 1)/(m - 1), K) is already in lowest terms and needs no gcd.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .greedy import level_harmonic
-from .rational import ZERO, EgyptianRep, _Record, _setfield, format_rational
+from .rational import ZERO, EgyptianRep, _from_reduced, _Record, _setfield, format_rational
 from .search import best_underapprox, next_point_above
 
 
@@ -39,6 +42,10 @@ class Cell(_Record):
         _setfield(self, "best_rep", best_rep)
         if level < 1:
             raise ValueError(f"cell level must be >= 1, got {format_rational(level)}")
+        if type(lower) not in (int, Fraction):
+            raise ValueError(f"cell lower endpoint must be an int or a Fraction, got {lower!r}")
+        if upper is not None and type(upper) not in (int, Fraction):
+            raise ValueError(f"cell upper endpoint must be an int, a Fraction or None, got {upper!r}")
         if lower < 0:
             raise ValueError(f"cell lower endpoint must be >= 0, got {format_rational(lower)}")
         if upper is not None:
@@ -131,18 +138,19 @@ def refinement_check(x: Fraction, n: int, node_budget: int | None = None) -> boo
     return coarse.lower <= fine.lower and fine.upper <= coarse.upper
 
 
-def _sylvester_maxtail(m: int, r: int) -> Fraction:
-    """Largest constrained r-term tail starting at denominator >= m >= 2.
+def _sylvester_end(m: int, r: int, cap: int | None = None) -> int:
+    """The end m_{r+1} of the chain m_1 = m, m_{k+1} = (m_k - 1) m_k + 1, or
+    its first term past cap + 1 (the terms only grow, so the end is too).
 
-    The constraint m_{k+1} >= (m_k - 1) m_k + 1 makes the densest tail the
-    chain of equalities from m itself.  Since m_{k+1} - 1 = m_k (m_k - 1),
-    each term is 1/m_k = 1/(m_k - 1) - 1/(m_{k+1} - 1), so the r terms
-    telescope to 1/(m - 1) - 1/(m_r - 1), a value in [1/m, 1/(m - 1)).
+    The constraint m_{k+1} >= (m_k - 1) m_k + 1 makes the chain the densest
+    tail from m >= 2: since m_{k+1} - 1 = m_k (m_k - 1), its r terms
+    telescope to 1/(m - 1) - 1/(m_{r+1} - 1), a value in [1/m, 1/(m - 1)).
     """
-    m_r = m
     for _ in range(r):
-        m_r = (m_r - 1) * m_r + 1
-    return Fraction(m_r - m, (m - 1) * (m_r - 1))
+        if cap is not None and m - 1 > cap:
+            break
+        m = m * m - m + 1  # a square takes CPython's faster multiply
+    return m
 
 
 def _regular_descend(x: Fraction, hi: Fraction, r: int, low: int, p: Fraction) -> Fraction | None:
@@ -154,7 +162,10 @@ def _regular_descend(x: Fraction, hi: Fraction, r: int, low: int, p: Fraction) -
 
     The densest tail from m lies in [1/m, 1/(m - 1)) and falls strictly as
     m grows, so with c = floor(1/need) every m <= c reaches need and no
-    m >= c + 2 does: one tail at c + 1 decides the largest feasible m.
+    m >= c + 2 does.  The tail from c + 1 is 1/c - 1/(M - 1), M its chain's
+    end, so it reaches need iff (M - 1) slack >= bar = c need_d, with
+    slack = need_d - c need_n: never at slack = 0, and surely once a term
+    passes bar / slack, where the chain is capped, at O(bits of need).
     """
     while r > 0:
         if p >= x:
@@ -164,10 +175,12 @@ def _regular_descend(x: Fraction, hi: Fraction, r: int, low: int, p: Fraction) -
             # a chain starting at m sums below 1/(m-1), so m-1 >= 1/rem keeps
             # the whole completion inside the window
             m = max(low, -((-rem.denominator) // rem.numerator) + 1)
-            return p + _sylvester_maxtail(m, r)
+            k = (_sylvester_end(m, r) - 1) // (m - 1)  # m_1 ... m_r, 1 mod m - 1
+            return p + _from_reduced((k - 1) // (m - 1), k)
         need = x - p
-        m = need.denominator // need.numerator  # largest m with 1/m >= need
-        if m + 1 >= low and _sylvester_maxtail(m + 1, r) >= need:
+        m, slack = divmod(need.denominator, need.numerator)  # m = c
+        bar = m * need.denominator
+        if m + 1 >= low and slack and (_sylvester_end(m + 1, r, bar // slack) - 1) * slack >= bar:
             m += 1
         if m < low:
             return None

@@ -211,13 +211,15 @@ class _Record:
 class EgyptianRep(_Record):
     """A sum of distinct unit fractions 1/m_1 + ... + 1/m_n, m_1 < ... < m_n.
 
-    The denominators are ``int``s.  The empty tuple is the unique 0-term
-    representation, with value 0.
+    The denominators are ``int``s, kept as a tuple whatever iterable they
+    come in.  The empty tuple is the unique 0-term representation, with
+    value 0.
     """
 
     denominators: tuple[int, ...]
 
-    def __init__(self, denominators: tuple[int, ...]) -> None:
+    def __init__(self, denominators: Iterable[int]) -> None:
+        denominators = tuple(denominators)
         _setfield(self, "denominators", denominators)
         prev = 0
         for m in denominators:
@@ -244,7 +246,7 @@ def make_rep(denominators: Iterable) -> EgyptianRep:
     if any(v.denominator != 1 for v in values):
         raise ValueError("denominators must be strictly increasing positive integers, "
                          f"got ({', '.join(map(format_rational, values))})")
-    return EgyptianRep(tuple(v.numerator for v in values))
+    return EgyptianRep(v.numerator for v in values)
 
 
 def rep_value(rep: EgyptianRep) -> Fraction:

@@ -177,14 +177,14 @@ def best_underapprox(
         raise ValueError(f"best_underapprox() needs x > 0, got {format_rational(x)}")
     hn = level_harmonic(n, 0, "best_underapprox")
     if x > hn:  # n = 0 always lands here: H_0 = 0 < x
-        return hn, EgyptianRep(tuple(range(1, n + 1)))
+        return hn, EgyptianRep(range(1, n + 1))
     # The incumbent vn/vd (reduced), x = xn/xd and every partial sum are
     # integer pairs compared by cross multiplication: this loop runs once
     # per node, and Fraction arithmetic would cost more than the node.
     xn, xd = x.numerator, x.denominator
     inc_rep, vn, vd = greedy_completion(xn, xd, n)
     if n == 1:  # the best one-term sum below x is the greedy one
-        return _from_reduced(vn, vd), EgyptianRep(tuple(inc_rep))
+        return _from_reduced(vn, vd), EgyptianRep(inc_rep)
 
     budget = _Budget(node_budget)
 
@@ -239,7 +239,7 @@ def best_underapprox(
             budget.spend()
 
     visit(0, 1, 0, 0, [])
-    return _from_reduced(vn, vd), EgyptianRep(tuple(inc_rep))
+    return _from_reduced(vn, vd), EgyptianRep(inc_rep)
 
 
 def has_representation(
@@ -252,7 +252,7 @@ def has_representation(
         raise ValueError(f"has_representation() needs q > 0, got {format_rational(q)}")
     level_harmonic(j, 1, "has_representation", "j")
     found = _representation(q.numerator, q.denominator, j, 1, max_denom, _Budget(node_budget))
-    return None if found is None else EgyptianRep(tuple(found))
+    return None if found is None else EgyptianRep(found)
 
 
 def _representation(
@@ -338,7 +338,7 @@ def next_point_above(
         for jj in range(1, n):
             witness = _representation(q.numerator, q.denominator, jj, 1, None, budget)
             if witness is not None:
-                raise ShorterRepresentationError(q, jj, EgyptianRep(tuple(witness)))
+                raise ShorterRepresentationError(q, jj, EgyptianRep(witness))
         if _representation(q.numerator, q.denominator, n, 1, None, budget) is None:
             raise ValueError(f"{format_rational(q)} has no {n}-term representation")
     work = 0

@@ -326,6 +326,9 @@ GOLDEN_STDOUT = [
      "0c941949feba29ce76bc47a804fe1171a22366e1d654cf6115e033ce079b5aa8"),
     (("regular", "1/2", "12"),
      "0074ccaa5d5bd78122e8d318f20c0d8d0d5b1051dd7255959ff1b12af2f0e70a"),
+    # the big-operand path: the value's denominator has 1.36M bits
+    (("regular", "1/10^100", "12"),
+     "0bd1f80202243de9edacbbf6a108be918c89fb342f91b50b50f93e9ca9c7a646"),
     (("cell", "11/24", "2"),
      "9f8b71a5b4b1021d788de2c2e7db90c0e77de1c9e215bdcfe6a82c0a42eb8cd0"),
     (("cell", "11/24", "4"),

@@ -12,6 +12,7 @@ import oracle_regular
 from conftest import random_rational
 from egy.partition import (
     Cell,
+    _regular_descend,
     cell_of,
     cells_in_window,
     cells_to_csv,
@@ -205,6 +206,48 @@ def test_next_regular_above_matches_term_by_term_oracle():
     for _ in range(100):
         x = random_rational(rng, max_den=2**40 - 1, hi=harmonic(12))
         assert x <= next_regular_above(x, 12) <= x + Fraction(1, 156), x
+
+
+def test_next_regular_above_matches_closed_form_oracle_for_tiny_x():
+    # the integer chain ends against the whole closed-form Fraction tails at
+    # n = 12, where the term-by-term oracle's bisection is far too slow:
+    # x = 1/10^k, x = 1/c exactly (the gap's slack is 0) and x = 1/c +- 1/10^k
+    rng = random.Random(0x7E6)
+    cases = [Fraction(1, 10**k) for k in (30, 75, 150, 300)]
+    for _ in range(12):
+        c = rng.randrange(2, 10**rng.randrange(1, 13))
+        tiny = Fraction(1, 10**rng.randrange(len(str(c)) + 1, 60))
+        cases += [Fraction(1, c), Fraction(1, c) + tiny, Fraction(1, c) - tiny]
+    for x in cases:
+        assert next_regular_above(x, 12) == oracle_regular.closed_form_next_regular_above(x, 12), x
+
+
+def test_regular_decision_matches_the_summed_tail():
+    # from p = 0 with low = c + 1, c = floor(1/need), the descent returns
+    # None exactly when the chain from c + 1 does not reach need, so this
+    # diffs the capped decision against the tail summed term by term, for
+    # r = 1..12: at need = 1/c (slack 0), at need = 1/c - 1/E with E at and
+    # beside each chain term m_k (where a cap one too low stops short), and
+    # at random need
+    rng = random.Random(0xC4A)
+    decided = []
+    for r in range(1, 13):
+        needs = [Fraction(rng.randrange(1, 10**6), 10**6) for _ in range(10)]
+        for c in (1, 2, 3, 7, 12):
+            needs.append(Fraction(1, c))
+            m = c + 1
+            for _ in range(r + 1):
+                m = (m - 1) * m + 1
+                needs += [Fraction(1, c) - 1 / e
+                          for e in (Fraction(m - 1), m - Fraction(1, 2), Fraction(m), m + Fraction(1, 2))]
+        for need in needs:
+            c = need.denominator // need.numerator
+            got = _regular_descend(need, Fraction(1), r, c + 1, Fraction(0))
+            reaches = oracle_regular._sylvester_maxtail(c + 1, r) >= need
+            assert (got is not None) == reaches, (need, r)
+            assert got == oracle_regular._closed_form_descend(need, Fraction(1), r, c + 1, Fraction(0))
+            decided.append(reaches)
+    assert 0 < sum(decided) < len(decided)
 
 
 def test_next_regular_above_term_limit():

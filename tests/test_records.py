@@ -9,6 +9,7 @@ import os
 import pickle
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -86,3 +87,33 @@ def test_record_validation_messages_are_unchanged(build, message):
     with pytest.raises(ValueError) as info:
         build()
     assert str(info.value) == message
+
+
+def test_rep_keeps_its_denominators_as_a_tuple():
+    # a list or a generator is stored as the tuple it yields, so the record
+    # hashes and equals the one built from that tuple
+    for source in ([4, 5], (m for m in (4, 5)), range(4, 6)):
+        rep = EgyptianRep(source)
+        assert rep.denominators == (4, 5) and type(rep.denominators) is tuple
+        assert rep == EgyptianRep((4, 5)) and hash(rep) == hash(EgyptianRep((4, 5)))
+        assert repr(rep) == "EgyptianRep(denominators=(4, 5))"
+
+
+@pytest.mark.parametrize("lower, upper, message", [
+    (0.45, Fraction(11, 24), "cell lower endpoint must be an int or a Fraction, got 0.45"),
+    (Fraction(9, 20), 0.5, "cell upper endpoint must be an int, a Fraction or None, got 0.5"),
+    (Decimal("0.45"), None,
+     "cell lower endpoint must be an int or a Fraction, got Decimal('0.45')"),
+    (True, None, "cell lower endpoint must be an int or a Fraction, got True"),
+    (Fraction(1, 3), False,
+     "cell upper endpoint must be an int, a Fraction or None, got False"),
+], ids=["float-lower", "float-upper", "decimal", "bool-lower", "bool-upper"])
+def test_cell_refuses_endpoints_that_are_not_int_or_fraction(lower, upper, message):
+    with pytest.raises(ValueError) as info:
+        Cell(2, lower, upper, None)
+    assert str(info.value) == message
+
+
+def test_cell_takes_int_endpoints():
+    assert Cell(1, 0, Fraction(1, 2), None).length() == Fraction(1, 2)
+    assert Cell(1, 1, None, None).contains(2)
