@@ -17,8 +17,8 @@ from fractions import Fraction
 from .greedy import level_harmonic
 from .lemma1 import exact_measure
 from .partition import Cell
-from .rational import ZERO, ONE, EgyptianRep, _Record, format_rational, harmonic
-from .search import ResourceLimitError, best_underapprox, has_representation
+from .rational import ZERO, ONE, EgyptianRep, _from_reduced, _Record, format_rational, harmonic
+from .search import ResourceLimitError, _best_pair, has_representation
 
 # 99% two-sided normal quantile, fixed rational constant
 WILSON_Z99 = Fraction(2575829303549, 10**12)
@@ -82,21 +82,28 @@ def chain_check(
         raise ValueError(f"chain_check() needs x > 0, got {format_rational(x)}")
     if n0 >= 1 and x > harmonic(n0):
         raise ValueError(f"chain_check() needs x <= harmonic({n0}), got {format_rational(x)}")
+    # each level's best value is a reduced pair from the search core, and
+    # its difference from the level below is formed and tested on pairs
+    xn, xd = x.numerator, x.denominator
     values: list[Fraction] = []
     diffs: list[Fraction] = []
     failure: int | None = None
+    pn = pd = last_dd = 0  # the level below: its value, and its difference's denominator
     for level in range(n0, t + 1):
-        value, _ = best_underapprox(x, level, node_budget)
-        values.append(value)
+        vn, vd, _ = _best_pair(xn, xd, level, node_budget)
+        values.append(_from_reduced(vn, vd))
         if level > n0:
-            diff = value - values[-2]
-            diffs.append(diff)
+            dn, dd = vn * pd - pn * vd, vd * pd
+            g = math.gcd(dn, dd)
+            dn, dd = dn // g, dd // g
+            diffs.append(_from_reduced(dn, dd))
             # before the first failure the previous denominator is the largest one
-            increasing = len(diffs) == 1 or diff.denominator > diffs[-2].denominator
-            if failure is None and not (diff.numerator == 1 and increasing):
+            if failure is None and not (dn == 1 and dd > last_dd):
                 failure = level
                 if stop_on_failure:
                     break
+            last_dd = dd
+        pn, pd = vn, vd
     base_rep: EgyptianRep | None = None
     if failure is None:
         if n0 == 0:

@@ -20,10 +20,11 @@ pair ((K - 1)/(m - 1), K) is already in lowest terms and needs no gcd.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .greedy import level_harmonic
 from .rational import ZERO, EgyptianRep, _from_reduced, _Record, _setfield, format_rational
-from .search import best_underapprox, next_point_above
+from .search import _best_pair, next_point_above
 
 
 class Cell(_Record):
@@ -46,13 +47,17 @@ class Cell(_Record):
             raise ValueError(f"cell lower endpoint must be an int or a Fraction, got {lower!r}")
         if upper is not None and type(upper) not in (int, Fraction):
             raise ValueError(f"cell upper endpoint must be an int, a Fraction or None, got {upper!r}")
-        if lower < 0:
+        if lower.numerator < 0:
             raise ValueError(f"cell lower endpoint must be >= 0, got {format_rational(lower)}")
         if upper is not None:
-            if lower >= upper:
+            # order and length by cross multiplication: an int has a numerator
+            # and a denominator too, and no Fraction is built on success
+            ln, ld = lower.numerator, lower.denominator
+            width_n, width_d = upper.numerator * ld - ln * upper.denominator, upper.denominator * ld
+            if width_n <= 0:
                 raise ValueError(f"empty cell ({format_rational(lower)}, {format_rational(upper)}]")
-            cap = Fraction(1, level * (level + 1))
-            if upper - lower > cap:
+            if width_n * (level * (level + 1)) > width_d:
+                cap = Fraction(1, level * (level + 1))
                 raise ValueError(
                     f"bounded level-{format_rational(level)} cell longer than {format_rational(cap)}: "
                     f"({format_rational(lower)}, {format_rational(upper)}]"
@@ -70,17 +75,23 @@ class Cell(_Record):
         return self.lower < x <= self.upper
 
 
+def _at_most(p: Fraction, q: Fraction) -> bool:
+    """p <= q for ints or Fractions, by cross multiplication."""
+    return p.numerator * q.denominator <= q.numerator * p.denominator
+
+
 def cell_of(x: Fraction, n: int, node_budget: int | None = None) -> Cell:
     """The unique level-n cell containing x > 0."""
     x = Fraction(x)
-    if x <= 0:
+    if x.numerator <= 0:
         raise ValueError(f"cell_of() needs x > 0, got {format_rational(x)}")
     hn = level_harmonic(n, 1, "cell_of")
-    if x > hn:
+    if not _at_most(x, hn):
         return Cell(level=n, lower=hn, upper=None, best_rep=None)
-    lower, rep = best_underapprox(x, n, node_budget)
+    vn, vd, denominators = _best_pair(x.numerator, x.denominator, n, node_budget)
+    lower = _from_reduced(vn, vd)
     upper = next_point_above(lower, n, node_budget, check=False)
-    return Cell(level=n, lower=lower, upper=upper, best_rep=rep)
+    return Cell(level=n, lower=lower, upper=upper, best_rep=EgyptianRep(denominators))
 
 
 def cells_in_window(
@@ -97,29 +108,36 @@ def cells_in_window(
     still uncovered is returned exactly.  The first cell is clipped at b and
     the last at a, so uncovered + sum of lengths == b - a always holds.
 
-    Each step is one best_underapprox call at the cursor: its value is the
-    cell's lower end, and the emitted upper end is the cursor itself, so no
-    right endpoint is searched for; node_budget caps each of those calls.
+    Each step is one best-value search at the cursor (``search._best_pair``,
+    the integer core of best_underapprox): its value is the cell's lower
+    end, and the emitted upper end is the cursor itself, so no right
+    endpoint is searched for; node_budget caps each of those searches.  The
+    cursor and a are kept as reduced pairs and compared by cross
+    multiplication, so each endpoint becomes a ``Fraction`` once.
     """
     a, b = Fraction(a), Fraction(b)
-    if not 0 < a < b <= level_harmonic(n, 1, "cells_in_window"):
+    an, ad = a.numerator, a.denominator
+    cursor, cn, cd = b, b.numerator, b.denominator
+    if not (0 < an and an * cd < cn * ad and b <= level_harmonic(n, 1, "cells_in_window")):
         raise ValueError(f"need 0 < a < b <= harmonic({n}), got a={format_rational(a)}, "
                          f"b={format_rational(b)}")
     if max_cells < 0:
         raise ValueError(f"max_cells must be >= 0, got {format_rational(max_cells)}")
     cells: list[Cell] = []
-    cursor = b
-    while len(cells) < max_cells and cursor > a:
+    while len(cells) < max_cells and cn * ad > an * cd:
         # cursor is in the cell (best, upper]; the emitted cell ends at the
         # cursor, which clips the first one at b (later cursors are exact cell
         # endpoints, so there upper == cursor), and the last one is clipped
         # at a, so the emitted pieces tile (max(a, best), b].
-        best, rep = best_underapprox(cursor, n, node_budget)
-        lower = best if best > a else a
-        cells.append(Cell(level=n, lower=lower, upper=cursor, best_rep=rep))
+        cn, cd, denominators = _best_pair(cn, cd, n, node_budget)
+        best = _from_reduced(cn, cd)
+        lower = best if cn * ad > an * cd else a
+        cells.append(Cell(level=n, lower=lower, upper=cursor, best_rep=EgyptianRep(denominators)))
         cursor = best
-    uncovered = cursor - a if cursor > a else ZERO
-    return cells, uncovered
+    # the uncovered stretch (a, cursor], empty once the walk passes a
+    un, ud = max(0, cn * ad - an * cd), cd * ad
+    g = gcd(un, ud)
+    return cells, _from_reduced(un // g, ud // g)
 
 
 def refinement_check(x: Fraction, n: int, node_budget: int | None = None) -> bool:
@@ -135,7 +153,7 @@ def refinement_check(x: Fraction, n: int, node_budget: int | None = None) -> boo
     if coarse.upper is None:
         return True
     fine = cell_of(x, n, node_budget)
-    return coarse.lower <= fine.lower and fine.upper <= coarse.upper
+    return _at_most(coarse.lower, fine.lower) and _at_most(fine.upper, coarse.upper)
 
 
 def _sylvester_end(m: int, r: int, cap: int | None = None) -> int:

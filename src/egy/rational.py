@@ -198,7 +198,7 @@ class _Record:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        fields = ", ".join(f"{field}={_repr_value(getattr(self, field))}" for field in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
@@ -206,6 +206,20 @@ class _Record:
 
     def __delattr__(self, name: str) -> None:
         raise AttributeError(f"cannot delete field {name!r}")
+
+
+def _repr_value(value) -> str:
+    """``repr(value)``, with the digits of ints and ``Fraction``s, also inside
+    tuples, from ``format_rational``: a record's repr then works past the
+    int-to-str digit limit, in the same text as below it."""
+    kind = type(value)
+    if kind is int:
+        return format_rational(value)
+    if kind is Fraction:
+        return f"Fraction({format_rational(value.numerator)}, {format_rational(value.denominator)})"
+    if kind is tuple:
+        return f"({', '.join(map(_repr_value, value))}{',' * (len(value) == 1)})"
+    return repr(value)
 
 
 class EgyptianRep(_Record):

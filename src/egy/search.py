@@ -3,14 +3,19 @@
 Three engines:
 
 * ``best_underapprox`` -- branch-and-bound for the largest n-term sum of
-  distinct unit fractions strictly below x, on integer pairs.  The
-  incumbent starts at the greedy value (always feasible, always strict)
-  and is refreshed with a greedy completion whenever a node's partial sum
-  passes it, which keeps every branching range finite; both come from the
-  one greedy loop, ``greedy.greedy_completion``, as reduced pairs, so no
-  ``Fraction`` is built until the result.  The bottom two levels are
-  closed form: for a fixed next-to-last denominator the best last one is
-  floor(1/gap) + 1, so the two-term completion is a single linear scan
+  distinct unit fractions strictly below x, on integer pairs.  It checks
+  its arguments and runs the integer core ``_best_pair``, which takes x
+  as a pair (num, den) and returns the value as a reduced pair; the
+  library's own callers (the partition walk, ``cell_of`` and
+  ``measure.chain_check``) call the core directly and build each
+  ``Fraction`` once, from that pair.  The incumbent starts at the greedy
+  value (always feasible, always strict) and is refreshed with a greedy
+  completion whenever a node's partial sum passes it, which keeps every
+  branching range finite; both come from the one greedy loop,
+  ``greedy.greedy_completion``, as reduced pairs, so the core builds no
+  ``Fraction`` at all.  The bottom two levels are closed form: for a fixed
+  next-to-last denominator the best last one is floor(1/gap) + 1, so the
+  two-term completion is a single linear scan
   (``_kernels.two_term_max_below``).  Before a node with two or more
   terms left runs its scan or visits its children, it bounds the units
   that work is certain to spend (``_certain_work``) and raises at once
@@ -26,7 +31,9 @@ Three engines:
   partition cell whose left endpoint is q.  The searches never prune, so
   their work depends on q and j alone; it counts those units exactly
   (``_min_above_work``) and charges them before the first search, raising
-  at once when they pass the budget left.
+  at once when they pass the budget left.  Its entry checks and the window
+  test compare q's pair by cross multiplication; the min-above searches
+  themselves still run on ``Fraction``s.
 
 Every search spends one unit of its ``node_budget`` per node and per
 loop step, and returns the exact answer or raises ``ValueError`` (input
@@ -41,7 +48,7 @@ from math import gcd
 
 from . import _kernels
 from .greedy import greedy_completion, level_harmonic
-from .rational import ZERO, EgyptianRep, _from_reduced, format_rational
+from .rational import ZERO, EgyptianRep, _from_reduced, format_rational, harmonic
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -170,21 +177,34 @@ def best_underapprox(
     Among denominator tuples attaining the optimum, the lexicographically
     smallest is returned (depth-first ascending exploration visits tuples in
     lexicographic order, and tying subtrees are only pruned once they can no
-    longer improve the witness).
+    longer improve the witness).  The search is ``_best_pair``; this checks
+    the arguments and builds the value's ``Fraction``.
     """
     x = Fraction(x)
     if x <= 0:
         raise ValueError(f"best_underapprox() needs x > 0, got {format_rational(x)}")
-    hn = level_harmonic(n, 0, "best_underapprox")
-    if x > hn:  # n = 0 always lands here: H_0 = 0 < x
-        return hn, EgyptianRep(range(1, n + 1))
+    level_harmonic(n, 0, "best_underapprox")
+    vn, vd, denominators = _best_pair(x.numerator, x.denominator, n, node_budget)
+    return _from_reduced(vn, vd), EgyptianRep(denominators)
+
+
+def _best_pair(xn: int, xd: int, n: int, node_budget: int | None) -> tuple[int, int, list[int]]:
+    """``best_underapprox`` on integer pairs: the best n-term value below
+    x = xn/xd as a reduced pair (vn, vd) with vd > 0, and its denominators.
+
+    The caller has checked x > 0 (xd > 0; the pair need not be reduced)
+    and the level n, so callers that hold their values as pairs build
+    each ``Fraction`` once, from the result.
+    """
+    hn = harmonic(n)
+    if xn * hn.denominator > hn.numerator * xd:  # n = 0 always lands here: H_0 = 0 < x
+        return hn.numerator, hn.denominator, list(range(1, n + 1))
     # The incumbent vn/vd (reduced), x = xn/xd and every partial sum are
     # integer pairs compared by cross multiplication: this loop runs once
     # per node, and Fraction arithmetic would cost more than the node.
-    xn, xd = x.numerator, x.denominator
     inc_rep, vn, vd = greedy_completion(xn, xd, n)
     if n == 1:  # the best one-term sum below x is the greedy one
-        return _from_reduced(vn, vd), EgyptianRep(inc_rep)
+        return vn, vd, inc_rep
 
     budget = _Budget(node_budget)
 
@@ -239,7 +259,7 @@ def best_underapprox(
             budget.spend()
 
     visit(0, 1, 0, 0, [])
-    return _from_reduced(vn, vd), EgyptianRep(inc_rep)
+    return vn, vd, inc_rep
 
 
 def has_representation(
@@ -325,31 +345,34 @@ def next_point_above(
     The answer is the min of their points, tested once against the window.
     """
     q = Fraction(q)
-    if q <= 0:
+    qn, qd = q.numerator, q.denominator
+    if qn <= 0:
         # There is no minimal Egyptian sum above 0; 0 is only a best value
         # at level 0, where every point belongs to the single cell (0, inf).
         raise ValueError(f"next_point_above() needs q > 0, got {format_rational(q)}")
     hn = level_harmonic(n, 1, "next_point_above")
-    if q >= hn:
+    if qn * hn.denominator >= hn.numerator * qd:
         raise ValueError(f"next_point_above() needs q < H_{n} = {format_rational(hn)}, "
                          f"got {format_rational(q)}")
     budget = _Budget(node_budget)
     if check:
         for jj in range(1, n):
-            witness = _representation(q.numerator, q.denominator, jj, 1, None, budget)
+            witness = _representation(qn, qd, jj, 1, None, budget)
             if witness is not None:
                 raise ShorterRepresentationError(q, jj, EgyptianRep(witness))
-        if _representation(q.numerator, q.denominator, n, 1, None, budget) is None:
+        if _representation(qn, qd, n, 1, None, budget) is None:
             raise ValueError(f"{format_rational(q)} has no {n}-term representation")
     work = 0
     for j in range(1, n + 1):
-        work += _min_above_work(q.numerator, q.denominator, j, 0, budget.left - work)
+        work += _min_above_work(qn, qd, j, 0, budget.left - work)
     budget.require(work, "the min-above search for up to %d terms", n)
     budget.spend(work)
     points = (_min_jterm_above(q, ZERO, j, 0) for j in range(1, n + 1))
     best = min((point for point in points if point is not None), default=None)
-    cutoff = q + Fraction(1, n * (n + 1))
-    if best is None or best > cutoff:
+    # the window, by cross multiplication: best - q <= 1/cap, the cell-length bound
+    cap = n * (n + 1)
+    if best is None or (best.numerator * qd - qn * best.denominator) * cap > best.denominator * qd:
+        cutoff = q + Fraction(1, cap)
         raise ValueError(f"no sum of at most {n} unit fractions lies in ({format_rational(q)}, "
                          f"{format_rational(cutoff)}]: {format_rational(q)} is not a level-{n} best value")
     return best

@@ -133,7 +133,10 @@ def test_chain_unit_diffs_must_strictly_increase(monkeypatch, denoms, failure):
     def scripted(x, level, node_budget=None):
         return values[level], None
 
-    monkeypatch.setattr(measure, "best_underapprox", scripted)
+    def scripted_pair(xn, xd, level, node_budget):  # chain_check reads the search core
+        return values[level].numerator, values[level].denominator, None
+
+    monkeypatch.setattr(measure, "_best_pair", scripted_pair)
     monkeypatch.setattr(oracle_chain, "best_underapprox", scripted)
     for stop in (False, True):
         r = chain_check(Fraction(2), 0, len(denoms), stop_on_failure=stop)

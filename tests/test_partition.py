@@ -3,11 +3,13 @@ import random
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import oracle_partition
 import oracle_regular
 from conftest import random_rational
 from egy.partition import (
@@ -19,8 +21,8 @@ from egy.partition import (
     next_regular_above,
     refinement_check,
 )
-from egy.rational import harmonic
-from egy.search import best_underapprox, next_point_above
+from egy.rational import format_rational, harmonic
+from egy.search import ResourceLimitError, best_underapprox, next_point_above
 
 
 def test_cell_validation():
@@ -128,6 +130,87 @@ def test_cells_in_window_searches_no_right_endpoint(monkeypatch):
     cells, uncovered = cells_in_window(Fraction(1, 3), Fraction(1, 2), 2, 10)
     assert len(cells) == 10 and cells[0].upper == Fraction(1, 2)
     assert uncovered == cells[-1].lower - Fraction(1, 3) > 0
+
+
+def _outcome(call, *args, **kwargs):
+    """The repr of a result (so endpoint types count too), or the type and
+    message of the exception raised."""
+    try:
+        return repr(call(*args, **kwargs))
+    except (ValueError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+
+
+def _window_cases(rng):
+    """(a, b, n, max_cells, node_budget) at n = 2..4: seeded windows, and
+    budgets that raise, a on a best value, b = H_n, int endpoints and
+    windows the walk refuses."""
+    cases = []
+    for n in (2, 3, 4):
+        hn = harmonic(n)
+        for _ in range(40):
+            b = random_rational(rng, max_den=60, lo=Fraction(1, 5), hi=hn)
+            a = b - Fraction(1, rng.randrange(20, 300))
+            if a <= 0:
+                a = b / 2
+            cases.append((a, b, n, rng.randrange(1, 6), rng.choice((30, 300, 3000, 20_000))))
+        # a on a best value: the walk lands on it and leaves nothing uncovered
+        b = random_rational(rng, max_den=60, lo=Fraction(1, 3), hi=hn)
+        a = best_underapprox(best_underapprox(b, n)[0], n)[0]
+        cases.append((a, b, n, 10, 20_000))
+        cases += [(hn - Fraction(1, 50), hn, n, 3, 20_000),  # b = H_n
+                  (hn - Fraction(1, 50), hn, n, 3, 40),      # ... on a budget that raises
+                  (Fraction(9, 10), 1, n, 4, 20_000),        # int b
+                  (1, Fraction(21, 20), n, 4, 20_000),       # int a
+                  (hn, hn + 1, n, 4, None),                  # refused: b > H_n
+                  (Fraction(1, 2), Fraction(1, 2), n, 4, None),
+                  (0, Fraction(1, 2), n, 4, None),
+                  (Fraction(1, 3), Fraction(1, 2), n, -1, None)]
+    cases.append((1, 2, 4, 3, 20_000))  # both ends int, inside (0, H_4]
+    return cases
+
+
+def test_cells_in_window_matches_fraction_oracle(rng):
+    seen = Counter()
+    for a, b, n, max_cells, budget in _window_cases(rng):
+        want = _outcome(oracle_partition.cells_in_window, a, b, n, max_cells, budget)
+        got = _outcome(cells_in_window, a, b, n, max_cells=max_cells, node_budget=budget)
+        assert got == want, (a, b, n, max_cells, budget)
+        seen[want[0].__name__ if type(want) is tuple else
+             "uncovered" if not want.endswith(", Fraction(0, 1))") else "covered"] += 1
+    assert all(seen[k] for k in ("ValueError", "NodeBudgetExceeded", "uncovered", "covered")), seen
+
+
+def test_cell_of_matches_fraction_oracle(rng):
+    seen = Counter()
+    for n in (2, 3, 4):
+        hn = harmonic(n)
+        xs = [random_rational(rng, max_den=60, lo=Fraction(1, 5), hi=hn) for _ in range(16)]
+        xs += [hn, hn + Fraction(1, 10**20), 1, 3, best_underapprox(Fraction(4, 5), n)[0], 0]
+        for x in xs:
+            budget = rng.choice((30, 300, 3000, 20_000))
+            want = _outcome(oracle_partition.cell_of, x, n, budget)
+            assert _outcome(cell_of, x, n, budget) == want, (x, n, budget)
+            seen[want[0].__name__ if type(want) is tuple else "cell"] += 1
+    assert all(seen[k] for k in ("ValueError", "NodeBudgetExceeded", "cell")), seen
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("lower, upper", [
+    (lambda n: 1, lambda n: 1 + Fraction(1, n * (n + 1))),             # int lower
+    (lambda n: 1 - Fraction(1, n * (n + 1)), lambda n: 1),             # int upper
+    (lambda n: Fraction(2, 7), lambda n: Fraction(2, 7) + Fraction(1, n * (n + 1))),
+], ids=["int-lower", "int-upper", "fractions"])
+def test_cell_length_bound_is_inclusive(n, lower, upper):
+    # a bounded cell exactly 1/(n(n+1)) long is accepted, and one 1/10^40
+    # longer is refused with the message the Fraction check printed
+    lo, hi = lower(n), upper(n)
+    assert Cell(n, lo, hi, None).length() == Fraction(1, n * (n + 1))
+    for lo, hi in ((lo - Fraction(1, 10**40), hi), (lo, hi + Fraction(1, 10**40))):
+        with pytest.raises(ValueError) as info:
+            Cell(n, lo, hi, None)
+        assert str(info.value) == (f"bounded level-{n} cell longer than 1/{n * (n + 1)}: "
+                                   f"({format_rational(lo)}, {format_rational(hi)}]")
 
 
 def test_refinement_examples():

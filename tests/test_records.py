@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from egy import Cell, EgyptianRep, MeasureEnclosure
+from egy import Cell, EgyptianRep, MeasureEnclosure, cell_of, chain_check
 from version_check import RECORDS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,3 +117,19 @@ def test_cell_refuses_endpoints_that_are_not_int_or_fraction(lower, upper, messa
 def test_cell_takes_int_endpoints():
     assert Cell(1, 0, Fraction(1, 2), None).length() == Fraction(1, 2)
     assert Cell(1, 1, None, None).contains(2)
+
+
+def test_reprs_print_past_the_int_digit_limit():
+    # 10^5000 has more digits than int() and str() allow by default (4300);
+    # the records print their ints and Fractions, also inside tuples,
+    # from format_rational's digits, in the same text
+    big = "1" + "0" * 5000
+    above = big[:-1] + "1"
+    x = Fraction(1, 10**5000)
+    assert repr(cell_of(x, 1)) == (f"Cell(level=1, lower=Fraction(1, {above}), upper=Fraction(1, {big}), "
+                                   f"best_rep=EgyptianRep(denominators=({above},)))")
+    assert repr(EgyptianRep((2, 10**5000))) == f"EgyptianRep(denominators=(2, {big}))"
+    assert repr(chain_check(x, 0, 1)) == (
+        f"ChainReport(x=Fraction(1, {big}), n0=0, t=1, best_values=(Fraction(0, 1), "
+        f"Fraction(1, {above})), diffs=(Fraction(1, {above}),), verdict=True, "
+        "failure_level=None, base_rep=EgyptianRep(denominators=()))")
