@@ -1,10 +1,13 @@
-"""The hot inner loops: the two-term max-below scan and the two Lemma-1
+"""The hot inner loops: the two-term scans and the two Lemma-1
 enumerations.
 
-Callers look these up as ``_kernels.<name>`` at call time.
-``tests/test_kernels.py`` diffs the max-below scan against the plain linear
-scan kept in ``tests/oracle_max_below.py``, and the enumerations against
-naive loops and the dict-and-sort enumeration in ``tests/oracle_lemma1.py``.
+The max-below scan and the top-k scan share one step, ``first_win``, the
+linear scan to the next a whose best pair beats a threshold.  Callers look
+these up as ``_kernels.<name>`` at call time.  ``tests/test_kernels.py``
+diffs both scans against the plain linear scans kept in
+``tests/oracle_max_below.py`` (and the top-k scan against a brute-force
+enumeration), and the enumerations against naive loops and the
+dict-and-sort enumeration in ``tests/oracle_lemma1.py``.
 
 The enumerations are generators: ``iter_min_competitors`` and
 ``iter_direct_terms`` yield as they go and hold O(i) state for their
@@ -45,6 +48,42 @@ def _last_pair_above(n, d, allow_equal):
     return a
 
 
+def first_win(xn, xd, a, end, bn, bd, slack):
+    """The scan step: the first a' in [a, end) whose best pair beats bn/bd,
+    strictly with slack 1, ties too with slack 0.  a''s best partner b' is
+    the smallest b' > a' with 1/a' + 1/b' < x = xn/xd.  Returns (a', b'),
+    or (end, 0) when no a' before end wins.
+
+    Needs x > 0, 1/a < x, bd > 0 and a < end, and end at most one past the
+    last a whose 1/a + 1/(a+1) beats the threshold (for bn <= 0, any a):
+    past split = floor(2/x), where b' = a' + 1 is forced, the first a' then
+    wins.
+
+    At a, b = q + 1 with q = xda // num, and 1/a + 1/b - bn/bd has the sign
+    of (a+b) bd - bn a b = v - b u, with u = bn a - bd and v = bd a.  So the
+    candidate wins iff q u <= w = v - u - slack.  Each scanned a costs one
+    floor division and one multiplication: xn a - xd, xd a and both sides
+    of the comparison are running sums.
+    """
+    num = xn * a - xd  # > 0; equals a*xd*(x - 1/a)
+    xda = xd * a
+    u = bn * a - bd
+    w = bd * a - u - slack
+    step = bd - bn
+    stop = min(end, 2 * xd // xn + 1)
+    for a in range(a, stop):
+        if xda // num * u <= w:
+            return a, xda // num + 1
+        num += xn
+        xda += xd
+        u += bn
+        w += step
+    a = max(a, stop)  # a itself when the range was empty
+    if a == end:
+        return a, 0
+    return a, a + 1  # past split the candidate is 1/a + 1/(a+1), and it wins
+
+
 def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
                        max_iters=None):
     """Largest 1/a + 1/b strictly below x = xn/xd with a_min <= a < b.
@@ -57,12 +96,10 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     that a no-find returns the threshold pair as it was given.
 
     For fixed a the best partner is the smallest b with 1/a + 1/b < x, so
-    the scan is linear in a; it stops at the first a where even
-    1/a + 1/(a+1) cannot beat the running best, and that a counts as an
-    iteration.  The stopping a is found once per incumbent with an integer
-    square root, and each scanned a costs one floor division and one
-    multiplication: xn a - xd, xd a and the two sides of the comparison
-    with the incumbent are running sums.
+    the scan is linear in a (``first_win``); it stops at the first a where
+    even 1/a + 1/(a+1) cannot beat the running best, and that a counts as
+    an iteration.  The stopping a is found once per incumbent with an
+    integer square root.
 
     When the scan would pass max_iters iterations it aborts and reports
     iterations = max_iters + 1 with found=False; the caller's budget
@@ -79,8 +116,6 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     if a < 2:
         a = 2
     a0 = a
-    # past split, b = a + 1 is forced and 1/a + 1/(a+1) < x
-    split = 2 * xd // xn
     # the a whose iteration is one too many
     a_abort = None if max_iters is None else a0 + max(max_iters, 0)
     bn, bd = thr_n, thr_d
@@ -95,29 +130,9 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
             end = a_abort
         if a >= end:
             break
-        # At a, b = q + 1 with q = xda // num, and 1/a + 1/b - bn/bd has the
-        # sign of (a+b) bd - bn a b = v - b u, with u = bn a - bd and v = bd a.
-        # So the candidate wins iff q u <= w = v - u - slack.
-        num = xn * a - xd  # > 0; equals a*xd*(x - 1/a)
-        xda = xd * a
-        u = bn * a - bd
-        w = bd * a - u - slack
-        step = bd - bn
-        stop = min(end, split + 1)
-        for a in range(a, stop):
-            if xda // num * u <= w:
-                b = xda // num + 1
-                break
-            num += xn
-            xda += xd
-            u += bn
-            w += step
-        else:
-            a = max(a, stop)  # a itself when the range was empty
-            if a == end:
-                break
-            # past split the candidate is 1/a + 1/(a+1), which wins at a <= last
-            b = a + 1
+        a, b = first_win(xn, xd, a, end, bn, bd, slack)
+        if not b:
+            break
         bn, bd = a + b, a * b
         res_a, res_b = a, b
         found = True
@@ -127,6 +142,51 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     if a == a_abort:
         return (False, 0, 0, 0, 0, a - a0 + 1)
     return (found, bn, bd, res_a, res_b, a - a0 + 1)
+
+
+def two_term_top(xn, xd, a_min, thr_n, thr_d, offer, max_iters=None):
+    """Offer offer(a, b) every pair a_min <= a < b with 1/a + 1/b < x = xn/xd
+    that strictly beats the running threshold, in lexicographic order.
+
+    The threshold starts at thr_n/thr_d and is whatever the last offer
+    returned, as (thr_n, thr_d).  Needs x > 0 and thr_d > 0; a threshold
+    of 0 or below is beaten by every pair.  A caller that keeps the k
+    largest sums returns its k-th once it holds k, which makes this the
+    top-k scan.  It shares ``first_win`` with ``two_term_max_below``,
+    whose threshold is its own last win.  a = 1 is scanned when x > 1.
+
+    For each a the partners run from the best one, the smallest b, up
+    while they still beat the threshold.  For such a caller that is at
+    most 2k offers per a: each partner after the first is a new sum, kept
+    (after k of them the next loses to all k) or equal to one kept.  So
+    the iterations count the a scanned, as in ``two_term_max_below``: the
+    scan stops at the first a where 1/a + 1/(a+1) cannot beat the
+    threshold, and that a counts.  Returns the iterations, or
+    max_iters + 1 once they would pass max_iters; the offers made stand,
+    and the caller's budget raises.
+    """
+    a = xd // xn + 1  # smallest a with 1/a < x
+    if a < a_min:
+        a = a_min
+    a0 = a
+    # the a whose iteration is one too many
+    a_abort = None if max_iters is None else a0 + max(max_iters, 0)
+    bn, bd = thr_n, thr_d
+    while True:
+        # a threshold every pair beats is beaten at a, and asked again after
+        end = _last_pair_above(bn, bd, False) + 1 if bn > 0 else a + 1
+        if a_abort is not None and a_abort < end:
+            end = a_abort
+        if a >= end:
+            break
+        a, b = first_win(xn, xd, a, end, bn, bd, 1)
+        if not b:
+            break
+        while (a + b) * bd > bn * a * b:  # 1/a + 1/b beats bn/bd
+            bn, bd = offer(a, b)
+            b += 1
+        a += 1
+    return a - a0 + 1
 
 
 def _b_range(i, a):

@@ -24,7 +24,13 @@ from math import gcd
 
 from .greedy import level_harmonic
 from .rational import ZERO, EgyptianRep, _from_reduced, _Record, _setfield, format_rational
-from .search import _best_pair, next_point_above
+from .search import _best_pair, _next_values, next_point_above
+
+# The cells one window search lists at most.  A search holds O(SEARCH_CELLS)
+# values, and a longer walk runs one search per SEARCH_CELLS cells.  Level-4
+# walks run faster up to 64, as each search walks the deep tree again;
+# levels 2-3 are flat from 16 on (ROADMAP item 14).
+SEARCH_CELLS = 64
 
 
 class Cell(_Record):
@@ -108,11 +114,12 @@ def cells_in_window(
     still uncovered is returned exactly.  The first cell is clipped at b and
     the last at a, so uncovered + sum of lengths == b - a always holds.
 
-    Each step is one best-value search at the cursor (``search._best_pair``,
-    the integer core of best_underapprox): its value is the cell's lower
-    end, and the emitted upper end is the cursor itself, so no right
-    endpoint is searched for; node_budget caps each of those searches.  The
-    cursor and a are kept as reduced pairs and compared by cross
+    Each cell's lower end is the best value below its upper end, and the
+    emitted upper end is the cursor itself, so no right endpoint is searched
+    for.  One k-best search (``search._next_values``) lists the next
+    SEARCH_CELLS of those values below the cursor at a time, in place of one
+    best-value search per cell; node_budget caps each of those searches.
+    The cursor and a are kept as reduced pairs and compared by cross
     multiplication, so each endpoint becomes a ``Fraction`` once.
     """
     a, b = Fraction(a), Fraction(b)
@@ -121,19 +128,21 @@ def cells_in_window(
     if not (0 < an and an * cd < cn * ad and b <= level_harmonic(n, 1, "cells_in_window")):
         raise ValueError(f"need 0 < a < b <= harmonic({n}), got a={format_rational(a)}, "
                          f"b={format_rational(b)}")
-    if max_cells < 0:
-        raise ValueError(f"max_cells must be >= 0, got {format_rational(max_cells)}")
+    if type(max_cells) is not int or max_cells < 0:  # a bool is no count
+        shown = format_rational(max_cells) if type(max_cells) is int else repr(max_cells)
+        raise ValueError(f"max_cells must be >= 0, got {shown}")
     cells: list[Cell] = []
     while len(cells) < max_cells and cn * ad > an * cd:
         # cursor is in the cell (best, upper]; the emitted cell ends at the
         # cursor, which clips the first one at b (later cursors are exact cell
         # endpoints, so there upper == cursor), and the last one is clipped
         # at a, so the emitted pieces tile (max(a, best), b].
-        cn, cd, denominators = _best_pair(cn, cd, n, node_budget)
-        best = _from_reduced(cn, cd)
-        lower = best if cn * ad > an * cd else a
-        cells.append(Cell(level=n, lower=lower, upper=cursor, best_rep=EgyptianRep(denominators)))
-        cursor = best
+        count = min(SEARCH_CELLS, max_cells - len(cells))
+        for cn, cd, denominators in _next_values(cn, cd, n, count, an, ad, node_budget):
+            best = _from_reduced(cn, cd)
+            lower = best if cn * ad > an * cd else a
+            cells.append(Cell(level=n, lower=lower, upper=cursor, best_rep=EgyptianRep(denominators)))
+            cursor = best
     # the uncovered stretch (a, cursor], empty once the walk passes a
     un, ud = max(0, cn * ad - an * cd), cd * ad
     g = gcd(un, ud)

@@ -1,12 +1,12 @@
 """Exact combinatorial search over Egyptian sums.
 
-Three engines:
+Four engines:
 
 * ``best_underapprox`` -- branch-and-bound for the largest n-term sum of
   distinct unit fractions strictly below x, on integer pairs.  It checks
   its arguments and runs the integer core ``_best_pair``, which takes x
   as a pair (num, den) and returns the value as a reduced pair; the
-  library's own callers (the partition walk, ``cell_of`` and
+  library's own callers (``partition.cell_of`` and
   ``measure.chain_check``) call the core directly and build each
   ``Fraction`` once, from that pair.  The incumbent starts at the greedy
   value (always feasible, always strict) and is refreshed with a greedy
@@ -20,6 +20,14 @@ Three engines:
   terms left runs its scan or visits its children, it bounds the units
   that work is certain to spend (``_certain_work``) and raises at once
   when the bound passes the budget left.
+
+* ``_next_values`` -- the window walk's k-best branch and bound: the
+  count largest distinct n-term sums below x, each with the witness
+  ``_best_pair`` gives it, from one search instead of one per value
+  (``partition.cells_in_window`` runs it).  It keeps those values and
+  prunes against the last; its two-term nodes run the top-k scan
+  (``_kernels.two_term_top``), which shares its scan step with the
+  max-below scan, and its fail-fast is the same ``_certain_work``.
 
 * ``has_representation`` -- exhaustive search on integer pairs for an
   exact j-term representation, pruned by the densest completion.
@@ -115,7 +123,8 @@ def _certain_work(gap_n: int, gap_d: int, r: int, m: int, limit: int) -> int:
 
     The node has r >= 2 terms left and x - p = g = gap_n/gap_d > 0; m > 1/g
     is its first child, or with r = 2 its scan's first a before the clamp
-    to a >= 2.  The incumbent stays below x.
+    to a >= 2.  The incumbent (in ``_next_values``, the threshold) stays
+    below x.
 
     With r = 2 this is the scan's length: its threshold lies below g, so it
     cannot stop before a = _kernels._last_pair_above(g, True) + 1, and that
@@ -260,6 +269,93 @@ def _best_pair(xn: int, xd: int, n: int, node_budget: int | None) -> tuple[int, 
 
     visit(0, 1, 0, 0, [])
     return vn, vd, inc_rep
+
+
+def _next_values(
+    xn: int, xd: int, n: int, count: int, an: int, ad: int, node_budget: int | None
+) -> list[tuple[int, int, list[int]]]:
+    """The next count steps of the window walk down from x = xn/xd: the
+    count largest distinct n-term sums below x, in decreasing order, cut
+    after the first at or below a = an/ad.  Each comes as
+    (vn, vd, denominators), reduced with vd > 0, and its witness is the
+    lexicographically smallest, the one ``_best_pair`` returns; each
+    value is ``_best_pair`` at the one before it.
+
+    One k-best branch and bound on integer pairs: it keeps those values
+    and prunes against the last one once it holds them all, ties
+    included.  Depth-first ascending exploration reaches each value's
+    smallest witness first, so a later tie is never kept, and a pruned
+    subtree can hold no kept value but the last, whose witness came first.
+    Until then every sum is kept, so the first scan fills the list.  The
+    two-term nodes run ``_kernels.two_term_top`` with the last kept value
+    as its running threshold, and the fail-fast ``_certain_work`` stays a
+    lower bound, as every threshold lies below x.  The caller has checked
+    0 < a < x <= H_n and 1 <= n; the state is the count values besides
+    the path, so a long walk runs several searches.
+    """
+    if n == 1:  # the one-term sums below x are 1/m from the greedy m on
+        values = []
+        for m in range(xd // xn + 1, xd // xn + 1 + count):
+            values.append((1, m, [m]))
+            if m * an >= ad:
+                break
+        return values
+    kept: list[tuple[int, int, list[int]]] = []
+    tn, td = 0, 1  # the threshold: the last kept value once the list is full
+    budget = _Budget(node_budget)
+
+    def keep(vn: int, vd: int, rep: list[int]) -> None:
+        # vn/vd beats the threshold; insert it unless an earlier witness has it
+        nonlocal tn, td
+        i, hi = 0, len(kept)  # i becomes the first index holding less than vn/vd
+        while i < hi:
+            mid = (i + hi) // 2
+            if kept[mid][0] * vd < vn * kept[mid][1]:
+                hi = mid
+            else:
+                i = mid + 1
+        if i and kept[i - 1][0] * vd == vn * kept[i - 1][1]:
+            return
+        g = gcd(vn, vd)
+        if vn * ad <= an * vd:  # at or below a: the walk stops there
+            del kept[i:]
+            kept.append((vn // g, vd // g, rep))
+        else:
+            kept.insert(i, (vn // g, vd // g, rep))
+            del kept[count:]
+            if len(kept) < count and kept[-1][0] * ad > an * kept[-1][1]:
+                return
+        tn, td = kept[-1][0], kept[-1][1]
+
+    def visit(pn: int, pd: int, k: int, m_last: int, prefix: list[int]) -> None:
+        # the prefix sums to p = pn/pd, unreduced
+        budget.spend()
+        r = n - k
+        gap_n, gap_d = xn * pd - pn * xd, xd * pd  # x - p > 0, unreduced
+        m = gap_d // gap_n + 1  # the first child, or the scan's first a
+        if m <= m_last:
+            m = m_last + 1
+        if r > 2 or (m + budget.left - 1) * gap_n <= 2 * gap_d:  # as in _best_pair
+            budget.require(_certain_work(gap_n, gap_d, r, m, budget.left),
+                           "the %d-term subtree at depth %d", r, k)
+        if r == 2:
+            def offer(a: int, b: int) -> tuple[int, int]:
+                keep(pn * a * b + (a + b) * pd, pd * a * b, prefix + [a, b])
+                return tn * pd - pn * td, td * pd  # the threshold less p
+
+            budget.spend(_kernels.two_term_top(gap_n, gap_d, m_last + 1, tn * pd - pn * td,
+                                               td * pd, offer, budget.left))
+            return
+        # densest possible completion from m uses consecutive denominators
+        rn, rd = _consecutive_run(m, r)
+        while (pn * rd + rn * pd) * td > tn * pd * rd:  # p + run beats the threshold
+            visit(pn * m + pd, pd * m, k + 1, m, prefix + [m])
+            rn, rd = _next_run(rn, rd, m, r)
+            m += 1
+            budget.spend()
+
+    visit(0, 1, 0, 0, [])
+    return kept
 
 
 def has_representation(

@@ -41,3 +41,26 @@ def linear_two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
             found = True
         a += 1
     return (found, best_n, best_d, res_a, res_b, iters)
+
+
+def linear_two_term_top(xn, xd, a_min, thr_n, thr_d, offer, max_iters=None):
+    """The top-k scan of ``egy._kernels.two_term_top``, linearly: every a
+    from the first admissible one, with fresh cross multiplications, until
+    1/a + 1/(a+1) cannot beat the running threshold, offering each of its
+    partners that beats it; each a is an iteration."""
+    a = xd // xn + 1  # smallest a with 1/a < x
+    if a < a_min:
+        a = a_min
+    tn, td = thr_n, thr_d
+    iters = 0
+    while True:
+        iters += 1
+        if max_iters is not None and iters > max_iters:
+            return iters
+        if (2 * a + 1) * td <= tn * a * (a + 1):
+            return iters
+        b = max((xd * a) // (xn * a - xd) + 1, a + 1)
+        while (a + b) * td > tn * a * b:
+            tn, td = offer(a, b)
+            b += 1
+        a += 1

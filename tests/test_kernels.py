@@ -6,7 +6,7 @@ import pytest
 
 import oracle_lemma1
 from egy import _kernels
-from oracle_max_below import linear_two_term_max_below
+from oracle_max_below import linear_two_term_max_below, linear_two_term_top
 
 
 # egy.search passes x - p and inc - p to the kernel unreduced, so the
@@ -158,6 +158,134 @@ def test_max_below_nonpositive_target():
     assert _kernels.two_term_max_below(0, 5, 2, 1, 10) == (False, 0, 0, 0, 0, 0)
     assert _kernels.two_term_max_below(-3, 5, 2, 1, 10, True, 0) == (False, 0, 0, 0, 0, 0)
 
+
+
+class _Keeper:
+    """The caller of the top-k scan: keeps the k largest distinct sums
+    offered, each with its first pair, and answers with the k-th once it
+    holds k, else with the starting threshold."""
+
+    def __init__(self, k, thr):
+        self.k, self.thr, self.start = k, thr, thr
+        self.kept, self.offers = {}, []
+
+    def __call__(self, a, b):
+        value = Fraction(1, a) + Fraction(1, b)
+        assert value > self.thr, (a, b)
+        self.offers.append((a, b))
+        self.kept.setdefault(value, (a, b))
+        for drop in sorted(self.kept, reverse=True)[self.k:]:
+            del self.kept[drop]
+        if len(self.kept) == self.k:
+            self.thr = min(self.kept)
+        return self.thr.numerator, self.thr.denominator
+
+
+def _brute_top(x, a_min, k, thr):
+    """The k largest distinct 1/a + 1/b < x above thr with a_min <= a < b,
+    each with its lexicographically smallest pair, by enumeration.
+
+    An a's first k partners give k distinct sums, so the k-th largest sum
+    is at least the k-th of them: enumerating down to the largest such
+    sum, ties kept, is finite even where 1/a >= thr gives a infinitely
+    many partners (every a when thr <= 0; the first one is enough then).
+    """
+    def partner(a):  # the smallest b with 1/a + 1/b < x
+        return max(int(1 / (x - Fraction(1, a))) + 1, a + 1)
+
+    first = max(a_min, int(1 / x) + 1)
+    floor, strict = thr, True
+    a = first
+    while a == first or Fraction(1, a) >= thr > 0:
+        kth = Fraction(1, a) + Fraction(1, partner(a) + k - 1)
+        if kth > floor or (kth == floor and strict):
+            floor, strict = kth, False
+        a += 1
+    found = {}
+    for a in range(first, int(2 / floor) + 2):
+        b = partner(a)
+        while True:
+            value = Fraction(1, a) + Fraction(1, b)
+            if value < floor or (strict and value == floor):
+                break
+            assert value < x
+            found.setdefault(value, (a, b))
+            b += 1
+    return {v: found[v] for v in sorted(found, reverse=True)[:k]}
+
+
+def _top_matches_oracles(xn, xd, a_min, k, thr):
+    """The top-k scan against the brute-force top k and, offer for offer
+    and iteration for iteration, the linear scan, also when capped."""
+    keeper = _Keeper(k, thr)
+    iters = _kernels.two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, keeper)
+    linear = _Keeper(k, thr)
+    assert linear_two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, linear) == iters
+    assert keeper.offers == linear.offers == sorted(set(keeper.offers))
+    assert keeper.kept == _brute_top(Fraction(xn, xd), a_min, k, thr), (xn, xd, a_min, k, thr)
+    for cap in {0, 1, iters - 2, iters - 1, iters, iters + 1} - {-1}:
+        capped = _Keeper(k, thr)
+        got = _kernels.two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, capped, cap)
+        assert got == (iters if cap >= iters else cap + 1), (xn, xd, a_min, k, thr, cap)
+        assert capped.offers == keeper.offers[:len(capped.offers)]
+        again = _Keeper(k, thr)
+        assert linear_two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, again, cap) == got
+        assert again.offers == capped.offers
+    return keeper
+
+
+def test_top_k_scan_against_brute_force():
+    # x below and above 1 (there a = 1 is scanned), thresholds from below
+    # 0 to just under x, and a_min below, at and past the first admissible a
+    # and 2/x, past which b = a + 1 is forced
+    rng = random.Random(27)
+    ones = 0
+    for _ in range(300):
+        xd = rng.randrange(1, 300)
+        xn = rng.randrange(1, 2 * xd + 2)
+        x = Fraction(xn, xd)
+        first = xd // xn + 1
+        a_min = max(1, rng.choice((1, first, 2 * xd // xn)) + rng.randrange(-2, 6))
+        k = rng.randrange(1, 10)
+        thr = rng.choice((Fraction(-1, 3), Fraction(0),
+                          x * Fraction(rng.randrange(1, 100), 100),
+                          x - Fraction(1, rng.randrange(2, 10**4))))
+        if thr > 0 and thr * max(a_min, first) > 2:
+            thr /= 3  # no pair beats it: a quick empty scan, tested below
+        keeper = _top_matches_oracles(xn, xd, a_min, k, thr)
+        ones += any(a == 1 for a, _ in keeper.offers)
+    assert ones > 10
+    # a threshold at or above every pair: one iteration, no offer
+    for thr in (Fraction(11, 24), Fraction(9, 20), Fraction(2)):
+        assert not _top_matches_oracles(11, 24, 1, 3, thr).offers
+
+
+def test_top_k_scan_keeps_the_first_pair_of_equal_sums():
+    # 1/5 + 1/20 = 1/6 + 1/12 = 1/4 and 1/7 + 1/42 = 1/8 + 1/24 = ... =
+    # 1/10 + 1/15 = 1/6, the largest sums past a_min: each sum is offered
+    # by all of its pairs, and the first one is kept
+    for value, a_min, pairs in ((Fraction(1, 4), 5, [(5, 20), (6, 12)]),
+                                (Fraction(1, 6), 7, [(7, 42), (8, 24), (9, 18), (10, 15)])):
+        x = value + Fraction(1, 10**6)
+        keeper = _top_matches_oracles(x.numerator, x.denominator, a_min, 3, Fraction(0))
+        assert keeper.kept[value] == pairs[0]
+        assert set(pairs) <= set(keeper.offers)
+        # with k = 1 the first pair's sum is the threshold, which a tie cannot beat
+        keeper = _top_matches_oracles(x.numerator, x.denominator, a_min, 1, Fraction(0))
+        assert keeper.kept == {value: pairs[0]}
+        assert not set(pairs[1:]) & set(keeper.offers)
+
+
+def test_top_k_scan_aborts_long_scans():
+    # x = 1/10^6 with a threshold just below: a ~10^6-long scan aborted at
+    # its 8th a, after the first a's four partners and a few more wins
+    a = 10**6 + 1
+    keeper, linear = _Keeper(4, Fraction(1, a)), _Keeper(4, Fraction(1, a))
+    assert _kernels.two_term_top(1, 10**6, 2, 1, a, keeper, 7) == 8
+    assert linear_two_term_top(1, 10**6, 2, 1, a, linear, 7) == 8
+    b = 10**6 * a + 1
+    assert keeper.offers[:4] == [(a, b), (a, b + 1), (a, b + 2), (a, b + 3)]
+    assert keeper.offers == linear.offers and all(pair[0] < a + 7 for pair in keeper.offers)
 
 
 def test_min_competitors_against_naive():

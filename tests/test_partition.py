@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 import oracle_partition
 import oracle_regular
 from conftest import random_rational
+from egy import partition, search
 from egy.partition import (
     Cell,
     _regular_descend,
@@ -22,7 +24,13 @@ from egy.partition import (
     refinement_check,
 )
 from egy.rational import format_rational, harmonic
-from egy.search import ResourceLimitError, best_underapprox, next_point_above
+from egy.search import (
+    DEFAULT_NODE_BUDGET,
+    NodeBudgetExceeded,
+    ResourceLimitError,
+    best_underapprox,
+    next_point_above,
+)
 
 
 def test_cell_validation():
@@ -108,8 +116,8 @@ def _walk_from_cell_of(a, b, n, max_cells):
 
 
 def test_cells_in_window_matches_cell_of_walk(rng):
-    # The budget caps each best_underapprox of the walk (these windows need
-    # at most 3307 units) but not the right endpoints, which the walk does
+    # The budget caps each window search of the walk (these windows' searches
+    # need at most 3307 units) but not the right endpoints, which the walk does
     # not search for (next_point_above needs up to 6380 units here).
     for n in (1, 2, 3, 4):
         for _ in range(6):
@@ -170,15 +178,136 @@ def _window_cases(rng):
     return cases
 
 
-def test_cells_in_window_matches_fraction_oracle(rng):
+def test_cells_in_window_matches_fraction_oracle(rng, budgets):
+    # node_budget caps each window search, and one search lists up to
+    # SEARCH_CELLS cells, so a window's budget outcome is the search's own:
+    # with U, the most units one of its searches spends, the walk finishes
+    # and prints the oracle's reprs (the oracle runs without a budget, as
+    # its budget caps each cell's search); with U - 1 it raises.  Refused
+    # windows raise the oracle's error, message and all.
     seen = Counter()
     for a, b, n, max_cells, budget in _window_cases(rng):
-        want = _outcome(oracle_partition.cells_in_window, a, b, n, max_cells, budget)
-        got = _outcome(cells_in_window, a, b, n, max_cells=max_cells, node_budget=budget)
-        assert got == want, (a, b, n, max_cells, budget)
-        seen[want[0].__name__ if type(want) is tuple else
-             "uncovered" if not want.endswith(", Fraction(0, 1))") else "covered"] += 1
+        want = _outcome(oracle_partition.cells_in_window, a, b, n, max_cells)
+        if type(want) is tuple:
+            assert want[0] is ValueError
+            got = _outcome(cells_in_window, a, b, n, max_cells=max_cells, node_budget=budget)
+            assert got == want, (a, b, n, max_cells, budget)
+            seen["ValueError"] += 1
+            continue
+        budgets.clear()
+        assert _outcome(cells_in_window, a, b, n, max_cells=max_cells) == want, (a, b, n, max_cells)
+        units = max(DEFAULT_NODE_BUDGET - made.left for made in budgets)  # U
+        assert _outcome(cells_in_window, a, b, n, max_cells=max_cells, node_budget=units) == want
+        with pytest.raises(NodeBudgetExceeded):
+            cells_in_window(a, b, n, max_cells=max_cells, node_budget=units - 1)
+        if budget is not None and budget < units:
+            with pytest.raises(NodeBudgetExceeded):
+                cells_in_window(a, b, n, max_cells=max_cells, node_budget=budget)
+            seen["NodeBudgetExceeded"] += 1
+        elif budget is not None:
+            got = _outcome(cells_in_window, a, b, n, max_cells=max_cells, node_budget=budget)
+            assert got == want, (a, b, n, max_cells, budget)
+        seen["uncovered" if not want.endswith(", Fraction(0, 1))") else "covered"] += 1
     assert all(seen[k] for k in ("ValueError", "NodeBudgetExceeded", "uncovered", "covered")), seen
+
+
+def _long_window_cases(rng):
+    """(a, b, n, max_cells) at n = 1..4, 300 in all: seeded windows, x > 1,
+    windows just above an (n-1)-term sum, where cells accumulate and
+    max_cells binds, a on a best value, b = H_n and int endpoints."""
+    cases = []
+    for n, draws in ((1, 50), (2, 80), (3, 80), (4, 40)):
+        hn = harmonic(n)
+        for _ in range(draws):
+            b = random_rational(rng, max_den=60, lo=Fraction(1, 6), hi=hn)
+            a = b - Fraction(1, rng.randrange(5, 200))
+            if a <= 0:
+                a = b / 2
+            cases.append((a, b, n, rng.randrange(1, 14 if n == 4 else 30)))
+    for n in (2, 3, 4):
+        hn = harmonic(n)
+        for _ in range(8):  # accumulation: the level-n sums pile up above
+            # every (n-1)-term sum q, so the walk toward q stops at max_cells
+            q = best_underapprox(random_rational(rng, max_den=30, lo=Fraction(1, 4), hi=harmonic(n - 1)),
+                                 n - 1)[0]
+            cases.append((q, q + Fraction(1, rng.randrange(40, 400)), n, rng.randrange(5, 25)))
+        for _ in range(4):  # x > 1
+            b = random_rational(rng, max_den=40, lo=Fraction(1), hi=hn)
+            cases.append((b - Fraction(1, rng.randrange(10, 60)), b, n, 12))
+        b = random_rational(rng, max_den=40, lo=Fraction(1, 3), hi=hn)
+        a = best_underapprox(best_underapprox(b, n)[0], n)[0]
+        cases += [(a, b, n, 10),                              # a on a best value
+                  (hn - Fraction(1, 40), hn, n, 20),          # b = H_n
+                  (Fraction(7, 8), 1, n, 10), (1, Fraction(9, 8), n, 10), (1, Fraction(3, 2), n, 6)]
+    return cases
+
+
+@pytest.mark.parametrize("search_cells", [1, 3, None], ids=["1", "3", "module"])
+def test_cells_in_window_matches_fraction_oracle_on_long_walks(monkeypatch, search_cells):
+    # the walk against the per-cell Fraction oracle, with one search per
+    # cell, per three cells and per SEARCH_CELLS cells: so most walks span
+    # several searches, and the ones in test_..._longer_than_one_search
+    # more than SEARCH_CELLS cells
+    if search_cells is not None:
+        monkeypatch.setattr(partition, "SEARCH_CELLS", search_cells)
+    cases = _long_window_cases(random.Random(0x3A1))
+    assert len(cases) >= 300
+    bound = Counter()
+    for a, b, n, max_cells in cases:
+        want = oracle_partition.cells_in_window(a, b, n, max_cells)
+        assert repr(cells_in_window(a, b, n, max_cells)) == repr(want), (a, b, n, max_cells)
+        bound[n] += want[1] > 0
+    assert all(bound[n] >= 5 for n in (2, 3, 4)), bound
+
+
+@pytest.mark.parametrize("a, b, n, max_cells", [
+    (Fraction(1, 3), Fraction(1, 2), 2, 150),
+    (Fraction(1, 4), Fraction(1, 3), 3, 140),
+    (Fraction(1, 7), Fraction(1, 6), 4, 70),
+])
+def test_cells_in_window_longer_than_one_search(a, b, n, max_cells):
+    assert max_cells > partition.SEARCH_CELLS
+    want = oracle_partition.cells_in_window(a, b, n, max_cells)
+    assert len(want[0]) > partition.SEARCH_CELLS
+    assert repr(cells_in_window(a, b, n, max_cells)) == repr(want)
+
+
+@pytest.mark.parametrize("n, a, b", [
+    (2, Fraction(1, 3), Fraction(1, 2)),
+    (3, Fraction(1, 4), Fraction(1, 3)),
+    (4, Fraction(1, 7), Fraction(1, 6)),
+])
+def test_window_search_state_is_its_values(n, a, b):
+    # a search listing count values holds them and its path, nothing that
+    # grows with the tree it walks: its peak lies within 2 KB + 32 B per
+    # value of the list it returns (the list's own growth), at count = 8,
+    # 64 and 512, while the list itself grows with count
+    search._next_values(b.numerator, b.denominator, n, 4, a.numerator, a.denominator, None)
+    held = []
+    for count in (8, 64, 512):
+        tracemalloc.start()
+        try:
+            values = search._next_values(b.numerator, b.denominator, n, count,
+                                         a.numerator, a.denominator, None)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(values) == count
+        assert peak - current < 2048 + 32 * count, (count, current, peak)
+        held.append(current)
+    assert held[0] < held[1] < held[2], held
+
+
+def test_cells_in_window_max_cells_must_be_a_count():
+    # a float, a bool or a string is no cell count: each is refused with the
+    # negative count's message, where 2.5 listed 3 cells, True 1 and "3"
+    # raised TypeError
+    for bad, shown in ((2.5, "2.5"), (True, "True"), (False, "False"), ("3", "'3'"),
+                       (Fraction(3), "Fraction(3, 1)"), (-1, "-1")):
+        with pytest.raises(ValueError) as info:
+            cells_in_window(Fraction(1, 3), Fraction(1, 2), 2, bad)
+        assert str(info.value) == f"max_cells must be >= 0, got {shown}"
+    assert len(cells_in_window(Fraction(1, 3), Fraction(1, 2), 2, 3)[0]) == 3
 
 
 def test_cell_of_matches_fraction_oracle(rng):

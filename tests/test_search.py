@@ -27,22 +27,6 @@ from oracle_bruteforce import brute_best
 from oracle_max_below import linear_two_term_max_below
 
 
-@pytest.fixture
-def budgets(monkeypatch):
-    """Every budget object the search creates, in order of creation."""
-    made = []
-
-    class Recorded(_Budget):
-        __slots__ = ()
-
-        def __init__(self, limit):
-            super().__init__(limit)
-            made.append(self)
-
-    monkeypatch.setattr(search, "_Budget", Recorded)
-    return made
-
-
 @contextmanager
 def _deadline(seconds):
     """Raise TimeoutError in the block once it has run for seconds."""
