@@ -317,14 +317,13 @@ def _next_values(
         if i and kept[i - 1][0] * vd == vn * kept[i - 1][1]:
             return
         g = gcd(vn, vd)
+        kept.insert(i, (vn // g, vd // g, rep))
         if vn * ad <= an * vd:  # at or below a: the walk stops there
-            del kept[i:]
-            kept.append((vn // g, vd // g, rep))
+            del kept[i + 1:]
         else:
-            kept.insert(i, (vn // g, vd // g, rep))
             del kept[count:]
             if len(kept) < count and kept[-1][0] * ad > an * kept[-1][1]:
-                return
+                return  # not full yet
         tn, td = kept[-1][0], kept[-1][1]
 
     def visit(pn: int, pd: int, k: int, m_last: int, prefix: list[int]) -> None:

@@ -166,7 +166,7 @@ class _Keeper:
     holds k, else with the starting threshold."""
 
     def __init__(self, k, thr):
-        self.k, self.thr, self.start = k, thr, thr
+        self.k, self.thr = k, thr
         self.kept, self.offers = {}, []
 
     def __call__(self, a, b):
