@@ -1,13 +1,14 @@
 """The hot inner loops: the two-term scans and the two Lemma-1
 enumerations.
 
-The max-below scan and the top-k scan share one step, ``first_win``, the
-linear scan to the next a whose best pair beats a threshold.  Callers look
-these up as ``_kernels.<name>`` at call time.  ``tests/test_kernels.py``
-diffs both scans against the plain linear scans kept in
-``tests/oracle_max_below.py`` (and the top-k scan against a brute-force
-enumeration), and the enumerations against naive loops and the
-dict-and-sort enumeration in ``tests/oracle_lemma1.py``.
+There is one two-term scan loop, ``two_term_top``: it offers its caller
+each pair that beats a running threshold the caller sets, and
+``two_term_max_below`` is its k = 1 case, whose threshold is its own last
+pair.  Callers look these up as ``_kernels.<name>`` at call time.
+``tests/test_kernels.py`` diffs both scans against the plain linear scans
+kept in ``tests/oracle_max_below.py`` (and the top-k scan against a
+brute-force enumeration), and the enumerations against naive loops and
+the dict-and-sort enumeration in ``tests/oracle_lemma1.py``.
 
 The enumerations are generators: ``iter_min_competitors`` and
 ``iter_direct_terms`` yield as they go and hold O(i) state for their
@@ -48,40 +49,9 @@ def _last_pair_above(n, d, allow_equal):
     return a
 
 
-def first_win(xn, xd, a, end, bn, bd, slack):
-    """The scan step: the first a' in [a, end) whose best pair beats bn/bd,
-    strictly with slack 1, ties too with slack 0.  a''s best partner b' is
-    the smallest b' > a' with 1/a' + 1/b' < x = xn/xd.  Returns (a', b'),
-    or (end, 0) when no a' before end wins.
-
-    Needs x > 0, 1/a < x, bd > 0 and a < end, and end at most one past the
-    last a whose 1/a + 1/(a+1) beats the threshold (for bn <= 0, any a):
-    past split = floor(2/x), where b' = a' + 1 is forced, the first a' then
-    wins.
-
-    At a, b = q + 1 with q = xda // num, and 1/a + 1/b - bn/bd has the sign
-    of (a+b) bd - bn a b = v - b u, with u = bn a - bd and v = bd a.  So the
-    candidate wins iff q u <= w = v - u - slack.  Each scanned a costs one
-    floor division and one multiplication: xn a - xd, xd a and both sides
-    of the comparison are running sums.
-    """
-    num = xn * a - xd  # > 0; equals a*xd*(x - 1/a)
-    xda = xd * a
-    u = bn * a - bd
-    w = bd * a - u - slack
-    step = bd - bn
-    stop = min(end, 2 * xd // xn + 1)
-    for a in range(a, stop):
-        if xda // num * u <= w:
-            return a, xda // num + 1
-        num += xn
-        xda += xd
-        u += bn
-        w += step
-    a = max(a, stop)  # a itself when the range was empty
-    if a == end:
-        return a, 0
-    return a, a + 1  # past split the candidate is 1/a + 1/(a+1), and it wins
+def _pair_sum(a, b):
+    """The k = 1 offer: the pair's own sum is the new threshold."""
+    return a + b, a * b
 
 
 def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
@@ -95,11 +65,10 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     the tuple depends on the values of x and the threshold alone, except
     that a no-find returns the threshold pair as it was given.
 
-    For fixed a the best partner is the smallest b with 1/a + 1/b < x, so
-    the scan is linear in a (``first_win``); it stops at the first a where
-    even 1/a + 1/(a+1) cannot beat the running best, and that a counts as
-    an iteration.  The stopping a is found once per incumbent with an
-    integer square root.
+    It is the top-k scan with k = 1 (``two_term_top``): each offer's sum is
+    the new threshold, so the last pair offered is the best, and the scan
+    stops at the first a where even 1/a + 1/(a+1) cannot beat it.  a = 1
+    is never scanned.
 
     When the scan would pass max_iters iterations it aborts and reports
     iterations = max_iters + 1 with found=False; the caller's budget
@@ -110,83 +79,95 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     """
     if xn <= 0:
         return (False, 0, 0, 0, 0, 0)
-    a = xd // xn + 1  # smallest a with 1/a < x
-    if a < a_min:
-        a = a_min
-    if a < 2:
-        a = 2
-    a0 = a
-    # the a whose iteration is one too many
-    a_abort = None if max_iters is None else a0 + max(max_iters, 0)
-    bn, bd = thr_n, thr_d
-    found = False
-    res_a = res_b = 0
-    slack = 0 if allow_equal else 1  # the least margin that wins; ties count
-    # a zero threshold is beaten by the first candidate, so it needs no bound
-    last = _last_pair_above(bn, bd, allow_equal) if bn > 0 else a
-    while True:
-        end = last + 1
-        if a_abort is not None and a_abort < end:
-            end = a_abort
-        if a >= end:
-            break
-        a, b = first_win(xn, xd, a, end, bn, bd, slack)
-        if not b:
-            break
-        bn, bd = a + b, a * b
-        res_a, res_b = a, b
-        found = True
-        slack = 1
-        last = _last_pair_above(bn, bd, False)
-        a += 1
-    if a == a_abort:
-        return (False, 0, 0, 0, 0, a - a0 + 1)
-    return (found, bn, bd, res_a, res_b, a - a0 + 1)
+    iters, a, b = two_term_top(xn, xd, a_min if a_min > 2 else 2, thr_n, thr_d, _pair_sum,
+                               max_iters, allow_equal)
+    if max_iters is not None and iters > max_iters:
+        return (False, 0, 0, 0, 0, iters)
+    if not a:
+        return (False, thr_n, thr_d, 0, 0, iters)
+    return (True, a + b, a * b, a, b, iters)
 
 
-def two_term_top(xn, xd, a_min, thr_n, thr_d, offer, max_iters=None):
+def two_term_top(xn, xd, a_min, thr_n, thr_d, offer, max_iters=None,
+                 allow_equal=False):
     """Offer offer(a, b) every pair a_min <= a < b with 1/a + 1/b < x = xn/xd
-    that strictly beats the running threshold, in lexicographic order.
+    that strictly beats the running threshold, in lexicographic order; with
+    allow_equal the first offer may also tie the starting threshold.
 
     The threshold starts at thr_n/thr_d and is whatever the last offer
     returned, as (thr_n, thr_d).  Needs x > 0 and thr_d > 0; a threshold
     of 0 or below is beaten by every pair.  A caller that keeps the k
     largest sums returns its k-th once it holds k, which makes this the
-    top-k scan.  It shares ``first_win`` with ``two_term_max_below``,
-    whose threshold is its own last win.  a = 1 is scanned when x > 1.
+    top-k scan; ``two_term_max_below`` is its k = 1 case.  a = 1 is
+    scanned when x > 1.
 
     For each a the partners run from the best one, the smallest b, up
-    while they still beat the threshold.  For such a caller that is at
+    while they still beat the threshold.  For a top-k caller that is at
     most 2k offers per a: each partner after the first is a new sum, kept
     (after k of them the next loses to all k) or equal to one kept.  So
-    the iterations count the a scanned, as in ``two_term_max_below``: the
-    scan stops at the first a where 1/a + 1/(a+1) cannot beat the
-    threshold, and that a counts.  Returns the iterations, or
-    max_iters + 1 once they would pass max_iters; the offers made stand,
-    and the caller's budget raises.
+    the iterations count the a scanned: the scan stops at the first a
+    where 1/a + 1/(a+1) cannot beat the threshold, and that a counts; that
+    a is found once per threshold with an integer square root.  Returns
+    (iterations, a, b) with (a, b) the last pair offered, or (0, 0) when
+    none was.  Once the iterations would pass max_iters they read
+    max_iters + 1; the offers made stand, and the caller's budget raises.
+
+    An inner loop passes the a whose best pair loses.  a's best partner
+    is b = q + 1 with q = xda // num, and 1/a + 1/b - bn/bd has the sign
+    of (a+b) bd - bn a b = v - b u, with u = bn a - bd and v = bd a.  So
+    the pair wins iff q u <= w = v - u - slack, with slack 1 for a strict
+    win and 0 for a tie too.  Each a passed costs one floor division and
+    one multiplication: xn a - xd, xd a and both sides of the comparison
+    are running sums.  Past split = floor(2/x), where b = a + 1 is
+    forced, the first a wins.
     """
     a = xd // xn + 1  # smallest a with 1/a < x
     if a < a_min:
         a = a_min
     a0 = a
-    # the a whose iteration is one too many
-    a_abort = None if max_iters is None else a0 + max(max_iters, 0)
+    a_abort = None  # the a whose iteration is one too many
+    if max_iters is not None:
+        a_abort = a0 + max_iters if max_iters > 0 else a0
+    split = 2 * xd // xn + 1
     bn, bd = thr_n, thr_d
+    last_a = last_b = 0
+    slack = 0 if allow_equal else 1  # the least margin that wins; ties count once
     while True:
         # a threshold every pair beats is beaten at a, and asked again after
-        end = _last_pair_above(bn, bd, False) + 1 if bn > 0 else a + 1
+        end = _last_pair_above(bn, bd, not slack) + 1 if bn > 0 else a + 1
         if a_abort is not None and a_abort < end:
             end = a_abort
         if a >= end:
             break
-        a, b = first_win(xn, xd, a, end, bn, bd, 1)
-        if not b:
-            break
-        while (a + b) * bd > bn * a * b:  # 1/a + 1/b beats bn/bd
+        num = xn * a - xd  # > 0; equals a*xd*(x - 1/a)
+        xda = xd * a
+        u = bn * a - bd
+        w = bd * a - u - slack
+        step = bd - bn
+        stop = end if end < split else split
+        for a in range(a, stop):
+            if xda // num * u <= w:
+                b = xda // num + 1
+                break
+            num += xn
+            xda += xd
+            u += bn
+            w += step
+        else:
+            if a < stop:  # an empty range leaves a as it was
+                a = stop
+            if a == end:
+                break
+            b = a + 1
+        while True:
             bn, bd = offer(a, b)
             b += 1
+            if (a + b) * bd <= bn * a * b:  # 1/a + 1/b no longer beats bn/bd
+                break
+        last_a, last_b = a, b - 1
+        slack = 1
         a += 1
-    return a - a0 + 1
+    return a - a0 + 1, last_a, last_b
 
 
 def _b_range(i, a):

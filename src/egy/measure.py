@@ -137,6 +137,8 @@ def wilson_interval(successes: int, trials: int, z: Fraction = WILSON_Z99) -> tu
     """Wilson score interval, outward-rounded to exact rationals."""
     if trials < 1:
         raise ValueError(f"wilson_interval() needs trials >= 1, got {format_rational(trials)}")
+    if z <= 0:  # z = 0 gives the point p, and z < 0 the bounds swapped
+        raise ValueError(f"wilson_interval() needs z > 0, got {format_rational(z)}")
     if not 0 <= successes <= trials:
         raise ValueError(f"need 0 <= successes <= trials, "
                          f"got {format_rational(successes)}/{format_rational(trials)}")
@@ -210,10 +212,10 @@ def sample_chain_density(
         raise ValueError(f"sample_chain_density() needs t > s, got s={format_rational(s)}, "
                          f"t={format_rational(t)}")
     level_harmonic(t, 1, "sample_chain_density", "t")
-    if count < 1:
-        raise ValueError(f"sample_chain_density() needs count >= 1, got {format_rational(count)}")
-    if bits < 16:
-        raise ValueError(f"sample_chain_density() needs bits >= 16, got {format_rational(bits)}")
+    for name, value, least in (("count", count, 1), ("bits", bits, 16)):
+        if type(value) is not int or value < least:  # a bool is no count
+            shown = format_rational(value) if type(value) is int else repr(value)
+            raise ValueError(f"sample_chain_density() needs {name} >= {least}, got {shown}")
     scale = 1 << bits
     top = (hs.numerator * scale) // hs.denominator
     rng = random.Random(seed)

@@ -26,8 +26,8 @@ Four engines:
   ``_best_pair`` gives it, from one search instead of one per value
   (``partition.cells_in_window`` runs it).  It keeps those values and
   prunes against the last; its two-term nodes run the top-k scan
-  (``_kernels.two_term_top``), which shares its scan step with the
-  max-below scan, and its fail-fast is the same ``_certain_work``.
+  (``_kernels.two_term_top``), of which the max-below scan is the k = 1
+  case, and its fail-fast is the same ``_certain_work``.
 
 * ``has_representation`` -- exhaustive search on integer pairs for an
   exact j-term representation, pruned by the densest completion.
@@ -343,7 +343,7 @@ def _next_values(
                 return tn * pd - pn * td, td * pd  # the threshold less p
 
             budget.spend(_kernels.two_term_top(gap_n, gap_d, m_last + 1, tn * pd - pn * td,
-                                               td * pd, offer, budget.left))
+                                               td * pd, offer, budget.left)[0])
             return
         # densest possible completion from m uses consecutive denominators
         rn, rd = _consecutive_run(m, r)

@@ -163,15 +163,17 @@ def test_max_below_nonpositive_target():
 class _Keeper:
     """The caller of the top-k scan: keeps the k largest distinct sums
     offered, each with its first pair, and answers with the k-th once it
-    holds k, else with the starting threshold."""
+    holds k, else with the starting threshold.  Only the first offer may
+    tie the starting threshold, and only with allow_equal."""
 
-    def __init__(self, k, thr):
-        self.k, self.thr = k, thr
+    def __init__(self, k, thr, allow_equal=False):
+        self.k, self.thr, self.allow_equal = k, thr, allow_equal
         self.kept, self.offers = {}, []
 
     def __call__(self, a, b):
         value = Fraction(1, a) + Fraction(1, b)
-        assert value > self.thr, (a, b)
+        assert value > self.thr or (self.allow_equal and not self.offers
+                                    and value == self.thr), (a, b)
         self.offers.append((a, b))
         self.kept.setdefault(value, (a, b))
         for drop in sorted(self.kept, reverse=True)[self.k:]:
@@ -181,83 +183,141 @@ class _Keeper:
         return self.thr.numerator, self.thr.denominator
 
 
-def _brute_top(x, a_min, k, thr):
+def _partner(x, a):
+    """The smallest b > a with 1/a + 1/b < x, for 1/a < x."""
+    return max(int(1 / (x - Fraction(1, a))) + 1, a + 1)
+
+
+def _brute_top(x, a_min, k, thr, allow_equal=False):
     """The k largest distinct 1/a + 1/b < x above thr with a_min <= a < b,
-    each with its lexicographically smallest pair, by enumeration.
+    each with its lexicographically smallest pair, by enumeration; with
+    allow_equal also thr itself when the first pair at or above thr ties it.
 
     An a's first k partners give k distinct sums, so the k-th largest sum
     is at least the k-th of them: enumerating down to the largest such
-    sum, ties kept, is finite even where 1/a >= thr gives a infinitely
-    many partners (every a when thr <= 0; the first one is enough then).
+    sum is finite even where 1/a >= thr gives a infinitely many partners
+    (every a when thr <= 0; the first one is enough then).
     """
-    def partner(a):  # the smallest b with 1/a + 1/b < x
-        return max(int(1 / (x - Fraction(1, a))) + 1, a + 1)
-
     first = max(a_min, int(1 / x) + 1)
-    floor, strict = thr, True
+    tie = None  # the one pair that may offer thr itself
+    a = first
+    while allow_equal and Fraction(2 * a + 1, a * (a + 1)) >= thr:
+        value = Fraction(1, a) + Fraction(1, _partner(x, a))
+        if value >= thr:
+            tie = (a, _partner(x, a)) if value == thr else None
+            break
+        a += 1
+    floor = thr
     a = first
     while a == first or Fraction(1, a) >= thr > 0:
-        kth = Fraction(1, a) + Fraction(1, partner(a) + k - 1)
-        if kth > floor or (kth == floor and strict):
-            floor, strict = kth, False
+        floor = max(floor, Fraction(1, a) + Fraction(1, _partner(x, a) + k - 1))
         a += 1
     found = {}
     for a in range(first, int(2 / floor) + 2):
-        b = partner(a)
-        while True:
+        b = _partner(x, a)
+        while Fraction(1, a) + Fraction(1, b) >= floor:
             value = Fraction(1, a) + Fraction(1, b)
-            if value < floor or (strict and value == floor):
-                break
             assert value < x
-            found.setdefault(value, (a, b))
+            if value > thr or (a, b) == tie:
+                found.setdefault(value, (a, b))
             b += 1
     return {v: found[v] for v in sorted(found, reverse=True)[:k]}
 
 
-def _top_matches_oracles(xn, xd, a_min, k, thr):
-    """The top-k scan against the brute-force top k and, offer for offer
-    and iteration for iteration, the linear scan, also when capped."""
-    keeper = _Keeper(k, thr)
-    iters = _kernels.two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, keeper)
-    linear = _Keeper(k, thr)
-    assert linear_two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, linear) == iters
-    assert keeper.offers == linear.offers == sorted(set(keeper.offers))
-    assert keeper.kept == _brute_top(Fraction(xn, xd), a_min, k, thr), (xn, xd, a_min, k, thr)
+def _run_top(xn, xd, a_min, k, thr, allow_equal=False, cap=None):
+    """One top-k scan with a fresh keeper; it returns the last pair offered."""
+    keeper = _Keeper(k, thr, allow_equal)
+    iters, a, b = _kernels.two_term_top(xn, xd, a_min, thr.numerator, thr.denominator,
+                                        keeper, cap, allow_equal)
+    assert (a, b) == (keeper.offers[-1] if keeper.offers else (0, 0))
+    return keeper, iters
+
+
+def _top_matches_oracles(xn, xd, a_min, k, thr, allow_equal=False):
+    """The top-k scan against the brute-force top k and, from a strict
+    start, offer for offer and iteration for iteration against the linear
+    scan, also when capped.  With k = 1 the last pair offered is the
+    brute force's lexicographically first best pair."""
+    keeper, iters = _run_top(xn, xd, a_min, k, thr, allow_equal)
+    assert keeper.offers == sorted(set(keeper.offers))
+    want = _brute_top(Fraction(xn, xd), a_min, k, thr, allow_equal)
+    assert keeper.kept == want, (xn, xd, a_min, k, thr, allow_equal)
+    if k == 1:
+        assert keeper.offers[-1:] == list(want.values())
+    if not allow_equal:
+        linear = _Keeper(k, thr)
+        assert linear_two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, linear) == iters
+        assert linear.offers == keeper.offers
     for cap in {0, 1, iters - 2, iters - 1, iters, iters + 1} - {-1}:
-        capped = _Keeper(k, thr)
-        got = _kernels.two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, capped, cap)
+        capped, got = _run_top(xn, xd, a_min, k, thr, allow_equal, cap)
         assert got == (iters if cap >= iters else cap + 1), (xn, xd, a_min, k, thr, cap)
         assert capped.offers == keeper.offers[:len(capped.offers)]
-        again = _Keeper(k, thr)
-        assert linear_two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, again, cap) == got
-        assert again.offers == capped.offers
+        if not allow_equal:
+            again = _Keeper(k, thr)
+            assert linear_two_term_top(xn, xd, a_min, thr.numerator, thr.denominator, again, cap) == got
+            assert again.offers == capped.offers
     return keeper
 
 
+def _random_top_case(rng):
+    """x below and above 1 (there a = 1 is scanned), a_min below, at and
+    past the first admissible a and 2/x, past which b = a + 1 is forced,
+    and thresholds from below 0 to just under x, among them the best sum
+    of one of the first a, which a start with ties can offer first."""
+    xd = rng.randrange(1, 300)
+    xn = rng.randrange(1, 2 * xd + 2)
+    x = Fraction(xn, xd)
+    first = xd // xn + 1
+    a_min = max(1, rng.choice((1, first, 2 * xd // xn)) + rng.randrange(-2, 6))
+    a = max(a_min, first) + rng.choice((0, 0, 1, 2))
+    thr = rng.choice((Fraction(-1, 3), Fraction(0),
+                      x * Fraction(rng.randrange(1, 100), 100),
+                      x - Fraction(1, rng.randrange(2, 10**4)),
+                      Fraction(1, a) + Fraction(1, _partner(x, a))))
+    if thr > 0 and thr * max(a_min, first) > 2:
+        thr /= 3  # no pair beats it: a quick empty scan, tested below
+    return xn, xd, a_min, thr
+
+
 def test_top_k_scan_against_brute_force():
-    # x below and above 1 (there a = 1 is scanned), thresholds from below
-    # 0 to just under x, and a_min below, at and past the first admissible a
-    # and 2/x, past which b = a + 1 is forced
     rng = random.Random(27)
-    ones = 0
-    for _ in range(300):
-        xd = rng.randrange(1, 300)
-        xn = rng.randrange(1, 2 * xd + 2)
-        x = Fraction(xn, xd)
-        first = xd // xn + 1
-        a_min = max(1, rng.choice((1, first, 2 * xd // xn)) + rng.randrange(-2, 6))
-        k = rng.randrange(1, 10)
-        thr = rng.choice((Fraction(-1, 3), Fraction(0),
-                          x * Fraction(rng.randrange(1, 100), 100),
-                          x - Fraction(1, rng.randrange(2, 10**4))))
-        if thr > 0 and thr * max(a_min, first) > 2:
-            thr /= 3  # no pair beats it: a quick empty scan, tested below
-        keeper = _top_matches_oracles(xn, xd, a_min, k, thr)
+    ones = ties = 0
+    for _ in range(400):
+        xn, xd, a_min, thr = _random_top_case(rng)
+        allow_equal = bool(rng.getrandbits(1))
+        keeper = _top_matches_oracles(xn, xd, a_min, rng.randrange(1, 10), thr, allow_equal)
         ones += any(a == 1 for a, _ in keeper.offers)
-    assert ones > 10
+        ties += sum(Fraction(1, a) + Fraction(1, b) == thr for a, b in keeper.offers[:1])
+    assert ones > 10 and ties > 10
     # a threshold at or above every pair: one iteration, no offer
     for thr in (Fraction(11, 24), Fraction(9, 20), Fraction(2)):
         assert not _top_matches_oracles(11, 24, 1, 3, thr).offers
+
+
+def test_top_k_scan_with_one_kept_is_the_max_below_scan():
+    # k = 1 keepers against the brute force; from a_min >= 2 and a
+    # threshold >= 0 the max-below scan returns the same pair and length
+    rng = random.Random(28)
+    for _ in range(300):
+        xn, xd, a_min, thr = _random_top_case(rng)
+        allow_equal = bool(rng.getrandbits(1))
+        keeper = _top_matches_oracles(xn, xd, a_min, 1, thr, allow_equal)
+        if a_min >= 2 and thr >= 0:
+            _, iters = _run_top(xn, xd, a_min, 1, thr, allow_equal)
+            found, _, _, a, b, got = _kernels.two_term_max_below(
+                xn, xd, a_min, thr.numerator, thr.denominator, allow_equal)
+            assert (found, got) == (bool(keeper.offers), iters)
+            assert [(a, b)] == keeper.offers[-1:] or not found
+
+
+def test_top_k_scan_offers_a_starting_tie_first_only():
+    # 1/5 + 1/20 = 1/6 + 1/12 = 1/4 is the starting threshold, just under x,
+    # and no pair past a = 5 beats it: with ties, only the first pair is offered
+    x = Fraction(1, 4) + Fraction(1, 10**6)
+    for k in (1, 3):
+        keeper = _top_matches_oracles(x.numerator, x.denominator, 5, k, Fraction(1, 4), True)
+        assert keeper.offers == [(5, 20)]
+        assert not _top_matches_oracles(x.numerator, x.denominator, 5, k, Fraction(1, 4)).offers
 
 
 def test_top_k_scan_keeps_the_first_pair_of_equal_sums():
@@ -267,13 +327,17 @@ def test_top_k_scan_keeps_the_first_pair_of_equal_sums():
     for value, a_min, pairs in ((Fraction(1, 4), 5, [(5, 20), (6, 12)]),
                                 (Fraction(1, 6), 7, [(7, 42), (8, 24), (9, 18), (10, 15)])):
         x = value + Fraction(1, 10**6)
-        keeper = _top_matches_oracles(x.numerator, x.denominator, a_min, 3, Fraction(0))
-        assert keeper.kept[value] == pairs[0]
-        assert set(pairs) <= set(keeper.offers)
-        # with k = 1 the first pair's sum is the threshold, which a tie cannot beat
-        keeper = _top_matches_oracles(x.numerator, x.denominator, a_min, 1, Fraction(0))
-        assert keeper.kept == {value: pairs[0]}
-        assert not set(pairs[1:]) & set(keeper.offers)
+        for allow_equal in (False, True):
+            keeper = _top_matches_oracles(x.numerator, x.denominator, a_min, 3, Fraction(0),
+                                          allow_equal)
+            assert keeper.kept[value] == pairs[0]
+            assert set(pairs) <= set(keeper.offers)
+            # with k = 1 the first pair's sum is the threshold, which a
+            # later tie cannot beat, even from a start with ties
+            keeper = _top_matches_oracles(x.numerator, x.denominator, a_min, 1, Fraction(0),
+                                          allow_equal)
+            assert keeper.kept == {value: pairs[0]}
+            assert not set(pairs[1:]) & set(keeper.offers)
 
 
 def test_top_k_scan_aborts_long_scans():
@@ -281,7 +345,7 @@ def test_top_k_scan_aborts_long_scans():
     # its 8th a, after the first a's four partners and a few more wins
     a = 10**6 + 1
     keeper, linear = _Keeper(4, Fraction(1, a)), _Keeper(4, Fraction(1, a))
-    assert _kernels.two_term_top(1, 10**6, 2, 1, a, keeper, 7) == 8
+    assert _kernels.two_term_top(1, 10**6, 2, 1, a, keeper, 7)[0] == 8
     assert linear_two_term_top(1, 10**6, 2, 1, a, linear, 7) == 8
     b = 10**6 * a + 1
     assert keeper.offers[:4] == [(a, b), (a, b + 1), (a, b + 2), (a, b + 3)]

@@ -157,6 +157,10 @@ def test_wilson_interval_basics():
         wilson_interval(5, 0)
     with pytest.raises(ValueError):
         wilson_interval(5, 4)
+    # z = 0 would give the point (1/2, 1/2), and z = -1 the bounds swapped
+    for z in (Fraction(0), Fraction(-1), -3):
+        with pytest.raises(ValueError, match="needs z > 0"):
+            wilson_interval(5, 10, z)
 
 
 def test_sample_determinism():
@@ -187,6 +191,19 @@ def test_sample_preconditions():
         sample_chain_density(1, 2, 0, 0, 32)
     with pytest.raises(ValueError):
         sample_chain_density(1, 2, 10, 0, 8)
+
+
+@pytest.mark.parametrize("count, bits, shown", [
+    (2.5, 32, "count >= 1, got 2.5"),
+    ("3", 32, "count >= 1, got '3'"),
+    (True, 32, "count >= 1, got True"),
+    (3, 32.0, "bits >= 16, got 32.0"),
+    (3, True, "bits >= 16, got True"),
+])
+def test_sample_counts_are_ints(count, bits, shown):
+    # as cells_in_window's max_cells: an int that is not a bool
+    with pytest.raises(ValueError, match=f"needs {shown}$"):
+        sample_chain_density(1, 2, count, 0, bits)
 
 
 def test_sample_csv_dump():
