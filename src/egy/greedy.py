@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .rational import EgyptianRep, _add_reduced, _from_reduced, format_rational, harmonic
+from .rational import EgyptianRep, _add_reduced, _from_reduced, _shown, format_rational, harmonic
 
 # The largest level (term count) every engine accepts, checked by
 # level_harmonic before any work.  Denominators grow doubly exponentially
@@ -27,13 +27,14 @@ DEFAULT_MAX_TERMS = 12
 
 
 def level_harmonic(n: int, least: int, caller: str, name: str = "n") -> Fraction:
-    """H_n, once least <= n <= DEFAULT_MAX_TERMS holds, else ValueError.
+    """H_n, once n is an ``int`` (not a ``bool``) with
+    least <= n <= DEFAULT_MAX_TERMS, else ValueError.
 
     Every engine calls this on its level argument before any sum or search,
     so an out-of-range level is rejected in O(1) whatever its size.
     """
-    if n < least:
-        raise ValueError(f"{caller}() needs {name} >= {least}, got {format_rational(n)}")
+    if type(n) is not int or n < least:
+        raise ValueError(f"{caller}() needs {name} >= {least}, got {_shown(n)}")
     if n > DEFAULT_MAX_TERMS:
         raise ValueError(f"{name}={format_rational(n)} exceeds the term limit {DEFAULT_MAX_TERMS}")
     return harmonic(n)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from . import _kernels
-from .rational import _Record, format_rational, format_rational_scaled, sum_pairs
+from .rational import _Record, _shown, format_rational, format_rational_scaled, sum_pairs
 from .search import _Budget
 
 _PERMILLE = Fraction(1, 1000)
@@ -73,11 +73,11 @@ class Lemma1Report(_Record):
 def xk(i: int, k: int) -> Fraction:
     """x_k = N(N + 2k)/(N - 2k) with N = i(i+1); 1/i + 1/x_k is the
     competitor 1/(i+1) + 1/(N/2 + k) rewritten against the greedy base."""
-    if i < 2:
-        raise ValueError(f"xk() needs i >= 2, got {format_rational(i)}")
+    if type(i) is not int or i < 2:  # a bool is no count
+        raise ValueError(f"xk() needs i >= 2, got {_shown(i)}")
     big = i * (i + 1)
-    if not 0 <= k <= big // 10:
-        raise ValueError(f"xk() needs 0 <= k <= {format_rational(big // 10)}, got {format_rational(k)}")
+    if type(k) is not int or not 0 <= k <= big // 10:
+        raise ValueError(f"xk() needs 0 <= k <= {format_rational(big // 10)}, got {_shown(k)}")
     return Fraction(big * (big + 2 * k), big - 2 * k)
 
 
@@ -173,8 +173,8 @@ def nongreedy_two_term_measure(i: int, node_budget: int | None = None) -> Fracti
     cell above, contributes nothing (its cell part is empty).  Spends one
     unit of node_budget per enumerated pair (a, b).
     """
-    if i < 2:
-        raise ValueError(f"nongreedy_two_term_measure() needs i >= 2, got {format_rational(i)}")
+    if type(i) is not int or i < 2:  # a bool is no count
+        raise ValueError(f"nongreedy_two_term_measure() needs i >= 2, got {_shown(i)}")
     return exact_measure(range(i, i + 1), node_budget, f"the exact measure at i={format_rational(i)}")[0]
 
 
@@ -216,8 +216,8 @@ def lemma1_certificate(i: int, mode: str = "paper", node_budget: int | None = No
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    if i < 2:
-        raise ValueError(f"lemma1_certificate() needs i >= 2, got {format_rational(i)}")
+    if type(i) is not int or i < 2:  # a bool is no count
+        raise ValueError(f"lemma1_certificate() needs i >= 2, got {_shown(i)}")
     what = f"the {mode} certificate at i={format_rational(i)}"
     if mode == "paper":
         if i < 1000:

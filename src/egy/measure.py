@@ -17,7 +17,7 @@ from fractions import Fraction
 from .greedy import level_harmonic
 from .lemma1 import exact_measure
 from .partition import Cell
-from .rational import ZERO, ONE, EgyptianRep, _from_reduced, _Record, format_rational, harmonic
+from .rational import ZERO, ONE, EgyptianRep, _from_reduced, _Record, _shown, format_rational, harmonic
 from .search import ResourceLimitError, _best_pair, has_representation
 
 # 99% two-sided normal quantile, fixed rational constant
@@ -75,8 +75,8 @@ def chain_check(
     may cut the level loop at the first bad difference.
     """
     x = Fraction(x)
-    if not 0 <= n0 < t:
-        raise ValueError(f"need 0 <= n0 < t, got n0={format_rational(n0)}, t={format_rational(t)}")
+    if type(n0) is not int or type(t) is not int or not 0 <= n0 < t:  # a bool is no level
+        raise ValueError(f"need 0 <= n0 < t, got n0={_shown(n0)}, t={_shown(t)}")
     level_harmonic(t, 1, "chain_check", "t")  # n0 < t, so harmonic(n0) is in range
     if x <= 0:
         raise ValueError(f"chain_check() needs x > 0, got {format_rational(x)}")
@@ -208,14 +208,13 @@ def sample_chain_density(
     counted as undecided and excluded from the fraction.
     """
     hs = level_harmonic(s, 1, "sample_chain_density", "s")
-    if t <= s:
+    if type(t) is int and t <= s:  # level_harmonic refuses a t that is no int
         raise ValueError(f"sample_chain_density() needs t > s, got s={format_rational(s)}, "
                          f"t={format_rational(t)}")
     level_harmonic(t, 1, "sample_chain_density", "t")
     for name, value, least in (("count", count, 1), ("bits", bits, 16)):
         if type(value) is not int or value < least:  # a bool is no count
-            shown = format_rational(value) if type(value) is int else repr(value)
-            raise ValueError(f"sample_chain_density() needs {name} >= {least}, got {shown}")
+            raise ValueError(f"sample_chain_density() needs {name} >= {least}, got {_shown(value)}")
     scale = 1 << bits
     top = (hs.numerator * scale) // hs.denominator
     rng = random.Random(seed)
@@ -308,8 +307,8 @@ def cell_decay_bound(
         raise ValueError("cell_decay_bound() needs a bounded cell")
     if slice_bound not in ("lemma", "exact"):
         raise ValueError(f"slice_bound must be 'lemma' or 'exact', got {slice_bound!r}")
-    if i_max < 1:
-        raise ValueError(f"cell_decay_bound() needs i_max >= 1, got {format_rational(i_max)}")
+    if type(i_max) is not int or i_max < 1:  # a bool is no count
+        raise ValueError(f"cell_decay_bound() needs i_max >= 1, got {_shown(i_max)}")
     length = cell.upper - cell.lower
     # smallest i0 with 1/i0 < length
     i0 = length.denominator // length.numerator + 1

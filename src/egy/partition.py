@@ -23,7 +23,7 @@ from fractions import Fraction
 from math import gcd
 
 from .greedy import level_harmonic
-from .rational import ZERO, EgyptianRep, _from_reduced, _Record, _setfield, format_rational
+from .rational import ZERO, EgyptianRep, _from_reduced, _Record, _shown, format_rational
 from .search import _best_pair, _next_values, next_point_above
 
 # The cells one window search lists at most.  A search holds O(SEARCH_CELLS)
@@ -34,7 +34,16 @@ SEARCH_CELLS = 64
 
 
 class Cell(_Record):
-    """One partition cell (lower, upper]; upper is None for (H_n, inf)."""
+    """One partition cell (lower, upper]; upper is None for (H_n, inf).
+
+    The level is an ``int`` of at least 1, not a ``bool``.  The endpoints
+    are ``int``s or ``Fraction``s, with 0 <= lower < upper and a bounded
+    cell no longer than 1/(level (level + 1)), the length bound of the
+    paper's partition; anything else raises ``ValueError``.  The checks run
+    on the endpoints' integer parts, read once each (a ``Fraction``'s from
+    its slots, as ``format_rational`` reads them), and build no
+    ``Fraction`` on success.
+    """
 
     level: int
     lower: Fraction
@@ -43,23 +52,21 @@ class Cell(_Record):
 
     def __init__(self, level: int, lower: Fraction, upper: Fraction | None,
                  best_rep: EgyptianRep | None) -> None:
-        _setfield(self, "level", level)
-        _setfield(self, "lower", lower)
-        _setfield(self, "upper", upper)
-        _setfield(self, "best_rep", best_rep)
-        if level < 1:
-            raise ValueError(f"cell level must be >= 1, got {format_rational(level)}")
-        if type(lower) not in (int, Fraction):
+        self.__dict__.update(level=level, lower=lower, upper=upper, best_rep=best_rep)
+        if type(level) is not int or level < 1:  # a bool is no level
+            raise ValueError(f"cell level must be >= 1, got {_shown(level)}")
+        lower_type, upper_type = type(lower), type(upper)
+        if lower_type is not Fraction and lower_type is not int:
             raise ValueError(f"cell lower endpoint must be an int or a Fraction, got {lower!r}")
-        if upper is not None and type(upper) not in (int, Fraction):
+        if upper is not None and upper_type is not Fraction and upper_type is not int:
             raise ValueError(f"cell upper endpoint must be an int, a Fraction or None, got {upper!r}")
-        if lower.numerator < 0:
+        ln, ld = (lower._numerator, lower._denominator) if lower_type is Fraction else (lower, 1)
+        if ln < 0:
             raise ValueError(f"cell lower endpoint must be >= 0, got {format_rational(lower)}")
         if upper is not None:
-            # order and length by cross multiplication: an int has a numerator
-            # and a denominator too, and no Fraction is built on success
-            ln, ld = lower.numerator, lower.denominator
-            width_n, width_d = upper.numerator * ld - ln * upper.denominator, upper.denominator * ld
+            # order and length by cross multiplication
+            un, ud = (upper._numerator, upper._denominator) if upper_type is Fraction else (upper, 1)
+            width_n, width_d = un * ld - ln * ud, ud * ld
             if width_n <= 0:
                 raise ValueError(f"empty cell ({format_rational(lower)}, {format_rational(upper)}]")
             if width_n * (level * (level + 1)) > width_d:
@@ -113,24 +120,30 @@ def cells_in_window(
     starts at b and may stop early (max_cells); the stretch (a, last.lower]
     still uncovered is returned exactly.  The first cell is clipped at b and
     the last at a, so uncovered + sum of lengths == b - a always holds.
+    The endpoints are anything ``Fraction()`` reads, with
+    0 < a < b <= H_n; n is an ``int`` level and max_cells an ``int`` count
+    of at least 0, neither a ``bool``.
 
     Each cell's lower end is the best value below its upper end, and the
     emitted upper end is the cursor itself, so no right endpoint is searched
     for.  One k-best search (``search._next_values``) lists the next
     SEARCH_CELLS of those values below the cursor at a time, in place of one
     best-value search per cell; node_budget caps each of those searches.
-    The cursor and a are kept as reduced pairs and compared by cross
-    multiplication, so each endpoint becomes a ``Fraction`` once.
+    The cursor and a are kept as reduced pairs, and they and H_n are
+    compared by cross multiplication: an endpoint that is a ``Fraction`` is
+    read, not copied, and each cell's lower end becomes a ``Fraction`` once.
     """
-    a, b = Fraction(a), Fraction(b)
-    an, ad = a.numerator, a.denominator
-    cursor, cn, cd = b, b.numerator, b.denominator
-    if not (0 < an and an * cd < cn * ad and b <= level_harmonic(n, 1, "cells_in_window")):
+    if type(a) is not Fraction:
+        a = Fraction(a)
+    if type(b) is not Fraction:
+        b = Fraction(b)
+    an, ad = a._numerator, a._denominator  # the slots _from_reduced fills
+    cursor, cn, cd = b, b._numerator, b._denominator
+    if not (0 < an and an * cd < cn * ad and _at_most(b, level_harmonic(n, 1, "cells_in_window"))):
         raise ValueError(f"need 0 < a < b <= harmonic({n}), got a={format_rational(a)}, "
                          f"b={format_rational(b)}")
     if type(max_cells) is not int or max_cells < 0:  # a bool is no count
-        shown = format_rational(max_cells) if type(max_cells) is int else repr(max_cells)
-        raise ValueError(f"max_cells must be >= 0, got {shown}")
+        raise ValueError(f"max_cells must be >= 0, got {_shown(max_cells)}")
     cells: list[Cell] = []
     while len(cells) < max_cells and cn * ad > an * cd:
         # cursor is in the cell (best, upper]; the emitted cell ends at the
@@ -140,8 +153,7 @@ def cells_in_window(
         count = min(SEARCH_CELLS, max_cells - len(cells))
         for cn, cd, denominators in _next_values(cn, cd, n, count, an, ad, node_budget):
             best = _from_reduced(cn, cd)
-            lower = best if cn * ad > an * cd else a
-            cells.append(Cell(level=n, lower=lower, upper=cursor, best_rep=EgyptianRep(denominators)))
+            cells.append(Cell(n, best if cn * ad > an * cd else a, cursor, EgyptianRep(denominators)))
             cursor = best
     # the uncovered stretch (a, cursor], empty once the walk passes a
     un, ud = max(0, cn * ad - an * cd), cd * ad

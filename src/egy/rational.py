@@ -35,6 +35,7 @@ ONE = Fraction(1)
 # about 4000 digits they are used as is; longer ints are parsed by halves and
 # printed through decimal, both subquadratic, without touching that limit.
 _STR_BITS = 13_000  # 2^13000 has 3914 digits
+_STR_LIMIT = 1 << _STR_BITS
 _LEAF_BITS = 4096   # the widest leaf of the decimal conversion
 
 
@@ -114,13 +115,25 @@ def format_rational(value: Fraction) -> str:
     """Serialize reduced with positive denominator; integers, and ints, print as "p".
 
     Works for rationals of millions of digits, whatever the interpreter's
-    int-to-str digit limit, and leaves that limit alone.
+    int-to-str digit limit, and leaves that limit alone.  A ``Fraction``'s
+    parts are read from the two slots ``_from_reduced`` fills, as its
+    ``numerator`` and ``denominator`` properties cost a Python call each,
+    and parts below _STR_BITS bits take ``str()`` at once.
     """
-    num, den = value.numerator, value.denominator
-    if max(num, -num, den).bit_length() <= _STR_BITS:
-        return str(num) if den == 1 else f"{num}/{den}"
+    if type(value) is Fraction:
+        num, den = value._numerator, value._denominator
+    else:
+        num, den = value.numerator, value.denominator
+    if (num if num >= 0 else -num) < _STR_LIMIT > den:
+        return f"{num}/{den}" if den != 1 else str(num)
     with _exact_decimals():
         return "/".join(map(str, _long_int_decimals((num,) if den == 1 else (num, den))))
+
+
+def _shown(value) -> str:
+    """How an argument check prints value: an int as ``format_rational``
+    prints it, anything else, a bool too, by its repr."""
+    return format_rational(value) if type(value) is int else repr(value)
 
 
 def format_rational_scaled(value: Fraction, c: int) -> tuple[str, str]:
@@ -150,9 +163,6 @@ def harmonic(n: int) -> Fraction:
     return sum_exact(Fraction(1, k) for k in range(1, n + 1))
 
 
-_setfield = object.__setattr__  # sets a field past the records' refusing __setattr__
-
-
 class _Record:
     """Base of the package's immutable result records.
 
@@ -165,7 +175,8 @@ class _Record:
     them without calling ``__setattr__``, and the generic constructor fills
     it in one update.  A record built once per search or per cell writes
     out its own ``__init__`` instead, for speed, with the same fields: it
-    sets each with ``_setfield`` and checks them inline.
+    fills ``__dict__`` in one update and checks the fields inline; its
+    hot callers pass them by position.
     """
 
     _fields: tuple[str, ...] = ()
@@ -233,14 +244,12 @@ class EgyptianRep(_Record):
     denominators: tuple[int, ...]
 
     def __init__(self, denominators: Iterable[int]) -> None:
-        denominators = tuple(denominators)
-        _setfield(self, "denominators", denominators)
+        self.__dict__["denominators"] = denominators = tuple(denominators)
         prev = 0
         for m in denominators:
             if type(m) is not int or m <= prev:
-                shown = (format_rational(d) if type(d) is int else repr(d) for d in denominators)
                 raise ValueError("denominators must be strictly increasing positive integers, "
-                                 f"got ({', '.join(shown)})")
+                                 f"got ({', '.join(map(_shown, denominators))})")
             prev = m
 
     def __len__(self) -> int:

@@ -81,10 +81,21 @@ class ShorterRepresentationError(ValueError):
 
 
 class _Budget:
+    """The units one search may still spend.
+
+    It is every engine's check of its node_budget argument: None, for
+    DEFAULT_NODE_BUDGET, or an ``int`` that is not a ``bool``; anything
+    else raises ``ValueError``.  A budget below 1 raises at the first unit.
+    """
+
     __slots__ = ("left",)
 
     def __init__(self, limit: int | None):
-        self.left = DEFAULT_NODE_BUDGET if limit is None else limit
+        if limit is None:
+            limit = DEFAULT_NODE_BUDGET
+        elif type(limit) is not int:  # a bool is no count
+            raise ValueError(f"node_budget must be None or an int, got {limit!r}")
+        self.left = limit
 
     def spend(self, amount: int = 1) -> None:
         self.left -= amount
@@ -203,8 +214,10 @@ def _best_pair(xn: int, xd: int, n: int, node_budget: int | None) -> tuple[int, 
 
     The caller has checked x > 0 (xd > 0; the pair need not be reduced)
     and the level n, so callers that hold their values as pairs build
-    each ``Fraction`` once, from the result.
+    each ``Fraction`` once, from the result.  node_budget is checked
+    first, also where no search runs.
     """
+    budget = _Budget(node_budget)
     hn = harmonic(n)
     if xn * hn.denominator > hn.numerator * xd:  # n = 0 always lands here: H_0 = 0 < x
         return hn.numerator, hn.denominator, list(range(1, n + 1))
@@ -214,8 +227,6 @@ def _best_pair(xn: int, xd: int, n: int, node_budget: int | None) -> tuple[int, 
     inc_rep, vn, vd = greedy_completion(xn, xd, n)
     if n == 1:  # the best one-term sum below x is the greedy one
         return vn, vd, inc_rep
-
-    budget = _Budget(node_budget)
 
     def visit(pn: int, pd: int, k: int, m_last: int, prefix: list[int]) -> None:
         # the prefix sums to p = pn/pd, unreduced
@@ -273,12 +284,12 @@ def _best_pair(xn: int, xd: int, n: int, node_budget: int | None) -> tuple[int, 
 
 def _next_values(
     xn: int, xd: int, n: int, count: int, an: int, ad: int, node_budget: int | None
-) -> list[tuple[int, int, list[int]]]:
+) -> list[tuple[int, int, tuple[int, ...]]]:
     """The next count steps of the window walk down from x = xn/xd: the
     count largest distinct n-term sums below x, in decreasing order, cut
     after the first at or below a = an/ad.  Each comes as
-    (vn, vd, denominators), reduced with vd > 0, and its witness is the
-    lexicographically smallest, the one ``_best_pair`` returns; each
+    (vn, vd, denominators), reduced with vd > 0, and its witness, a tuple,
+    is the lexicographically smallest, the one ``_best_pair`` returns; each
     value is ``_best_pair`` at the one before it.
 
     One k-best branch and bound on integer pairs: it keeps those values
@@ -293,41 +304,49 @@ def _next_values(
     0 < a < x <= H_n and 1 <= n; the state is the count values besides
     the path, so a long walk runs several searches.
     """
+    budget = _Budget(node_budget)
     if n == 1:  # the one-term sums below x are 1/m from the greedy m on
         values = []
         for m in range(xd // xn + 1, xd // xn + 1 + count):
-            values.append((1, m, [m]))
+            values.append((1, m, (m,)))
             if m * an >= ad:
                 break
         return values
-    kept: list[tuple[int, int, list[int]]] = []
+    kept: list[tuple[int, int, tuple[int, ...]]] = []
     tn, td = 0, 1  # the threshold: the last kept value once the list is full
-    budget = _Budget(node_budget)
+    leaf_n, leaf_d, leaf_prefix = 0, 1, ()  # the scanning node's prefix, summing to p
 
-    def keep(vn: int, vd: int, rep: list[int]) -> None:
-        # vn/vd beats the threshold; insert it unless an earlier witness has it
+    def offer(a: int, b: int) -> tuple[int, int]:
+        # v = p + 1/a + 1/b beats the threshold: insert it unless an earlier
+        # witness has it, and return the threshold less p
         nonlocal tn, td
-        i, hi = 0, len(kept)  # i becomes the first index holding less than vn/vd
+        pn, pd = leaf_n, leaf_d
+        ab = a * b
+        vn, vd = pn * ab + (a + b) * pd, pd * ab
+        i, hi = 0, len(kept)  # i becomes the first index holding less than v
         while i < hi:
             mid = (i + hi) // 2
             if kept[mid][0] * vd < vn * kept[mid][1]:
                 hi = mid
             else:
                 i = mid + 1
-        if i and kept[i - 1][0] * vd == vn * kept[i - 1][1]:
-            return
-        g = gcd(vn, vd)
-        kept.insert(i, (vn // g, vd // g, rep))
-        if vn * ad <= an * vd:  # at or below a: the walk stops there
-            del kept[i + 1:]
-        else:
-            del kept[count:]
-            if len(kept) < count and kept[-1][0] * ad > an * kept[-1][1]:
-                return  # not full yet
-        tn, td = kept[-1][0], kept[-1][1]
+        if not i or kept[i - 1][0] * vd != vn * kept[i - 1][1]:
+            g = gcd(vn, vd)
+            vn, vd = vn // g, vd // g
+            kept.insert(i, (vn, vd, leaf_prefix + (a, b)))
+            if vn * ad <= an * vd:  # at or below a: the walk stops there
+                del kept[i + 1:]
+                tn, td = vn, vd
+            else:
+                del kept[count:]
+                last = kept[-1]
+                if len(kept) == count or last[0] * ad <= an * last[1]:  # full, or cut at a
+                    tn, td = last[0], last[1]
+        return tn * pd - pn * td, td * pd
 
-    def visit(pn: int, pd: int, k: int, m_last: int, prefix: list[int]) -> None:
+    def visit(pn: int, pd: int, k: int, m_last: int, prefix: tuple[int, ...]) -> None:
         # the prefix sums to p = pn/pd, unreduced
+        nonlocal leaf_n, leaf_d, leaf_prefix
         budget.spend()
         r = n - k
         gap_n, gap_d = xn * pd - pn * xd, xd * pd  # x - p > 0, unreduced
@@ -338,22 +357,19 @@ def _next_values(
             budget.require(_certain_work(gap_n, gap_d, r, m, budget.left),
                            "the %d-term subtree at depth %d", r, k)
         if r == 2:
-            def offer(a: int, b: int) -> tuple[int, int]:
-                keep(pn * a * b + (a + b) * pd, pd * a * b, prefix + [a, b])
-                return tn * pd - pn * td, td * pd  # the threshold less p
-
+            leaf_n, leaf_d, leaf_prefix = pn, pd, prefix
             budget.spend(_kernels.two_term_top(gap_n, gap_d, m_last + 1, tn * pd - pn * td,
                                                td * pd, offer, budget.left)[0])
             return
         # densest possible completion from m uses consecutive denominators
         rn, rd = _consecutive_run(m, r)
         while (pn * rd + rn * pd) * td > tn * pd * rd:  # p + run beats the threshold
-            visit(pn * m + pd, pd * m, k + 1, m, prefix + [m])
+            visit(pn * m + pd, pd * m, k + 1, m, prefix + (m,))
             rn, rd = _next_run(rn, rd, m, r)
             m += 1
             budget.spend()
 
-    visit(0, 1, 0, 0, [])
+    visit(0, 1, 0, 0, ())
     return kept
 
 

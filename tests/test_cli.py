@@ -347,6 +347,12 @@ GOLDEN_STDOUT = [
      "0544a5adb41af417508c655231e024f1c68836fe5c5d62637529319a55338248"),
     (("cells", "1/3", "1/2", "2", "--max-cells", "3"),
      "4d501ece50e36819d069f7bb4d7bb3a47f038f8149104f927878c0248bd02941"),
+    # the JSON form of CI's level-3 and level-4 cells pins, recorded before
+    # the window walk stopped copying its endpoints through Fraction()
+    (("cells", "1/4", "1/3", "3", "--max-cells", "300"),
+     "a8695df60e1964dee1243fd82ca7e985a1fd6ac9e13f7af0d41ab3b3f232e8a0"),
+    (("cells", "1/12", "1/11", "4", "--max-cells", "60"),
+     "9139ac05240bb66f665ef5db0c1334a60905db87a85fa343ec4c8a19c86c9059"),
     # the README's chain example: passes with diffs 1/2, 1/3, 1/7, 1/43
     (("chain", "1", "0", "4"),
      "a76e35ec7e1b5277712081ae2588ce8aec45130c3f6f66e6d00bdc0563cf2280"),

@@ -45,6 +45,21 @@ def test_xk_range_errors():
         xk(10, 12)  # floor(110/10) = 11 is the max
 
 
+@pytest.mark.parametrize("bad", [20.5, 20.0, True, "20", Fraction(20)])
+def test_slice_indices_are_ints(bad):
+    # lemma1_certificate(20.5) raised AttributeError and
+    # nongreedy_two_term_measure(20.0) TypeError; a bool is no index either
+    shown = repr(bad)
+    for call, message in ((lambda: lemma1_certificate(bad), "lemma1_certificate() needs i >= 2"),
+                          (lambda: lemma1_certificate(bad, "exact"), "lemma1_certificate() needs i >= 2"),
+                          (lambda: nongreedy_two_term_measure(bad), "nongreedy_two_term_measure() needs i >= 2"),
+                          (lambda: xk(bad, 0), "xk() needs i >= 2"),
+                          (lambda: xk(20, bad), "xk() needs 0 <= k <= 42")):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"{message}, got {shown}"
+
+
 def test_xk_spacing_exceeds_one():
     rng = random.Random(3)
     for _ in range(50):

@@ -226,6 +226,16 @@ def test_decay_bound_rejects_unbounded():
         cell_decay_bound(cell, 100)
 
 
+@pytest.mark.parametrize("bad", [200.5, 200.0, True, "200", Fraction(200)])
+def test_decay_bound_i_max_is_an_int(bad):
+    # 200.5 made a report with "i_max": 200.5, and True ran as i_max = 1
+    cell = Cell(2, Fraction(1, 3), Fraction(23, 60), None)
+    for slice_bound in ("lemma", "exact"):
+        with pytest.raises(ValueError) as info:
+            cell_decay_bound(cell, bad, slice_bound)
+        assert str(info.value) == f"cell_decay_bound() needs i_max >= 1, got {bad!r}"
+
+
 def test_decay_bound_tail_dominated():
     cell = Cell(level=31, lower=Fraction(1, 3), upper=Fraction(1, 3) + Fraction(1, 1000), best_rep=None)
     report = cell_decay_bound(cell, 100)  # i_max <= i0 = 1001

@@ -45,6 +45,20 @@ def test_cell_validation():
     assert unbounded.contains(Fraction(100))
 
 
+@pytest.mark.parametrize("bad", [2.5, True, Fraction(3), "3"])
+def test_cell_level_is_an_int(bad):
+    # 2.5, True and Fraction(3) made cells (cell_decay_bound then printed
+    # "level": 2.5) and "3" raised TypeError; each is now refused by its
+    # repr, and an int level below 1 keeps its message
+    with pytest.raises(ValueError) as info:
+        Cell(bad, Fraction(1, 3), Fraction(7, 20), None)
+    assert str(info.value) == f"cell level must be >= 1, got {bad!r}"
+    with pytest.raises(ValueError) as info:
+        Cell(0, Fraction(1, 3), Fraction(7, 20), None)
+    assert str(info.value) == "cell level must be >= 1, got 0"
+    assert Cell(3, Fraction(1, 3), Fraction(7, 20), None).level == 3
+
+
 def test_cell_of_examples():
     c = cell_of(Fraction(1), 1)
     assert (c.lower, c.upper) == (Fraction(1, 2), Fraction(1))
@@ -296,6 +310,32 @@ def test_window_search_state_is_its_values(n, a, b):
         assert peak - current < 2048 + 32 * count, (count, current, peak)
         held.append(current)
     assert held[0] < held[1] < held[2], held
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_cells_in_window_reads_every_endpoint_form(n):
+    # the walk reads a Fraction endpoint as it is, and anything else through
+    # Fraction(): int, Fraction and string endpoints, b = H_n exactly, all
+    # print the oracle's reprs, and b just above H_n raises its error text
+    hn = harmonic(n)
+    a = hn - Fraction(1, 40)
+    cases = [(a, hn), (str(a), str(hn)), (a, str(hn)), (str(a), hn),
+             (Fraction(1, 5), "1/4"), ("1/5", Fraction(1, 4)), (Fraction(9, 10), 1)]
+    if n >= 2:
+        cases.append((1, "21/20"))
+    for a_in, b_in in cases:
+        got = cells_in_window(a_in, b_in, n, 3)
+        assert repr(got) == repr(oracle_partition.cells_in_window(a_in, b_in, n, 3)), (a_in, b_in)
+        if type(b_in) is Fraction:
+            assert got[0][0].upper is b_in
+        assert all(type(c.lower) is type(c.upper) is Fraction for c in got[0])
+    above = hn + Fraction(1, 10**30)
+    for b_in in (above, str(above)):
+        with pytest.raises(ValueError) as want:
+            oracle_partition.cells_in_window(a, b_in, n, 3)
+        with pytest.raises(ValueError) as got:
+            cells_in_window(a, b_in, n, 3)
+        assert str(got.value) == str(want.value)
 
 
 def test_cells_in_window_max_cells_must_be_a_count():

@@ -349,6 +349,30 @@ def test_format_rational_long_ints_match_str():
     assert text == _with_digit_limit(0, lambda: f"-1/{den}")
 
 
+def test_format_rational_short_path_matches_str():
+    # parts below 2^_STR_BITS print by str() at once, and wider ones by the
+    # decimal conversion: on both sides of that edge the text is str() of
+    # the value and f"{p}/{q}" of its parts, for ints and Fractions whose
+    # numerator or denominator has _STR_BITS - 1, _STR_BITS or _STR_BITS + 1
+    # bits, with negative numerators and with den == 1
+    bits = egy.rational._STR_BITS
+    rng = random.Random(41)
+    parts = [1, 2, 3]
+    for width in (bits - 1, bits, bits + 1):
+        parts += [1 << (width - 1), (1 << width) - 1, rng.getrandbits(width) | 1 << (width - 1) | 1]
+    values = []
+    for p in parts:
+        values += [p, -p, Fraction(p), Fraction(-p)]
+        values += [Fraction(s * p, q) for q in parts[1:] for s in (1, -1) if gcd(p, q) == 1]
+    widths = {max(abs(v.numerator), v.denominator).bit_length() for v in values}
+    assert {bits - 1, bits, bits + 1} <= widths
+    for v in values:
+        num, den = v.numerator, v.denominator
+        want = _with_digit_limit(0, lambda: (str(v), str(num) if den == 1 else f"{num}/{den}"))
+        got = _with_digit_limit(4300, lambda: format_rational(v))
+        assert (got, got) == want, (num.bit_length(), den.bit_length())
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=13_000, max_value=400_000), st.integers(min_value=0, max_value=2**32),
        st.sampled_from(["random", "2^b - 1", "2^b", "10^d"]), st.booleans())

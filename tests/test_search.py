@@ -11,9 +11,9 @@ import oracle_min_above
 from conftest import random_rational
 from egy import _kernels, search
 from egy.greedy import greedy_underapprox, greedy_value
-from egy.lemma1 import xk
-from egy.measure import chain_check, sample_chain_density, wilson_interval
-from egy.partition import cell_of, cells_in_window, next_regular_above, refinement_check
+from egy.lemma1 import lemma1_certificate, nongreedy_two_term_measure, xk
+from egy.measure import cell_decay_bound, chain_check, sample_chain_density, wilson_interval
+from egy.partition import Cell, cell_of, cells_in_window, next_regular_above, refinement_check
 from egy.rational import harmonic
 from egy.search import (
     NodeBudgetExceeded,
@@ -232,6 +232,64 @@ def test_every_engine_checks_the_term_limit_before_any_work():
         with _deadline(1.0):
             with pytest.raises(ValueError, match=r"^[ntj]=(13|30) exceeds the term limit 12$"):
                 engine(*args)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.0, Fraction(2), "2"],
+                         ids=["True", "False", "float", "Fraction", "str"])
+def test_every_level_argument_is_an_int(bad):
+    # level_harmonic, every engine's level check, refuses a level that is no
+    # int, as the max_cells check does: True ran as level 1 and 2.0 raised
+    # TypeError from range; the value shows by its repr
+    half, shown = Fraction(1, 2), repr(bad)
+    table = [
+        (best_underapprox, (half, bad), "best_underapprox() needs n >= 0"),
+        (greedy_underapprox, (half, bad), "greedy_underapprox() needs n >= 0"),
+        (next_regular_above, (half, bad), "next_regular_above() needs n >= 1"),
+        (has_representation, (Fraction(2, 3), bad), "has_representation() needs j >= 1"),
+        (next_point_above, (half, bad), "next_point_above() needs n >= 1"),
+        (cell_of, (half, bad), "cell_of() needs n >= 1"),
+        (cells_in_window, (Fraction(1, 4), Fraction(1, 3), bad), "cells_in_window() needs n >= 1"),
+        (refinement_check, (half, bad), "refinement_check() needs n >= 2"),
+        (sample_chain_density, (bad, 3, 3, 0, 32), "sample_chain_density() needs s >= 1"),
+        (sample_chain_density, (1, bad, 3, 0, 32), "sample_chain_density() needs t >= 1"),
+    ]
+    for engine, args, message in table:
+        with pytest.raises(ValueError) as info:
+            engine(*args)
+        assert str(info.value) == f"{message}, got {shown}", engine
+    for n0, t in ((bad, 3), (0, bad)):
+        with pytest.raises(ValueError) as info:
+            chain_check(Fraction(11, 24), n0, t)
+        assert str(info.value) == f"need 0 <= n0 < t, got n0={n0!r}, t={t!r}"
+
+
+@pytest.mark.parametrize("bad", [2.5, True, False, "100", Fraction(100)],
+                         ids=["float", "True", "False", "str", "Fraction"])
+def test_every_node_budget_is_none_or_an_int(bad):
+    # _Budget, which every engine builds, checks node_budget: 2.5 raised
+    # TypeError mid-search and True ran as a budget of 1
+    x, q = Fraction(11, 24), Fraction(9, 20)
+    calls = [
+        lambda: best_underapprox(x, 3, node_budget=bad),
+        lambda: best_underapprox(x, 1, node_budget=bad),  # no search runs at n = 1
+        lambda: has_representation(q, 2, node_budget=bad),
+        lambda: next_point_above(q, 2, node_budget=bad),
+        lambda: cell_of(x, 2, node_budget=bad),
+        lambda: cells_in_window(Fraction(1, 3), Fraction(1, 2), 2, 3, node_budget=bad),
+        lambda: cells_in_window(Fraction(1, 3), Fraction(1, 2), 1, 3, node_budget=bad),
+        lambda: refinement_check(x, 2, node_budget=bad),
+        lambda: chain_check(x, 2, 4, node_budget=bad),
+        lambda: sample_chain_density(2, 3, 3, 0, 32, node_budget=bad),
+        lambda: lemma1_certificate(1000, "paper", node_budget=bad),
+        lambda: lemma1_certificate(20, "direct", node_budget=bad),
+        lambda: lemma1_certificate(20, "exact", node_budget=bad),
+        lambda: nongreedy_two_term_measure(20, node_budget=bad),
+        lambda: cell_decay_bound(Cell(2, Fraction(1, 3), Fraction(23, 60), None), 26, "exact", bad),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == f"node_budget must be None or an int, got {bad!r}"
 
 
 def test_next_point_above_examples():

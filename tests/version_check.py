@@ -11,6 +11,9 @@ for a 1 and k zeros.  The script checks:
 * ``rational._from_reduced`` fills the slots this Python's ``Fraction``
   reads: its values compare, hash, print, pickle and compute as
   ``Fraction(num, den)`` does;
+* the same two slots hold the parts of a ``Fraction`` built by this
+  Python, as ``format_rational``, ``Cell`` and ``cells_in_window`` read
+  them in place of the ``numerator`` and ``denominator`` properties;
 * ``rational.sum_pairs`` against ``Fraction`` addition on random narrow
   (unreduced) and wide (reduced) pairs;
 * each of the seven result records: built by position and by keyword,
@@ -105,7 +108,9 @@ def check_from_reduced():
                 and value + Fraction(1, 3) == want + Fraction(1, 3) and value * 6 == want * 6
                 and (value < 1) == (want < 1) and float(value) == float(want)):
             fail(f"_from_reduced({num}, {den}) is not Fraction({num}, {den})")
-    print(f"ok _from_reduced on {len(pairs)} pairs")
+        if (want._numerator, want._denominator) != (num, den):
+            fail(f"the slots of Fraction({num}, {den}) do not hold its parts")
+    print(f"ok _from_reduced and the slots read on {len(pairs)} pairs")
 
 
 def check_sum_pairs():
