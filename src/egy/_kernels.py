@@ -2,9 +2,11 @@
 enumerations.
 
 There is one two-term scan loop, ``two_term_top``: it offers its caller
-each pair that beats a running threshold the caller sets, and
-``two_term_max_below`` is its k = 1 case, whose threshold is its own last
-pair.  Callers look these up as ``_kernels.<name>`` at call time.
+each pair that beats a running threshold the caller sets.  The search
+(``egy.search._next_values``) calls it as ``_kernels.two_term_top`` at
+call time.  ``two_term_max_below`` is its k = 1 case, whose threshold is
+its own last pair; no search calls it, and it stays for the benchmark's
+tracer, which wraps it by name, and for the tests that diff it.
 ``tests/test_kernels.py`` diffs both scans against the plain linear scans
 kept in ``tests/oracle_max_below.py`` (and the top-k scan against a
 brute-force enumeration), and the enumerations against naive loops and
@@ -71,11 +73,12 @@ def two_term_max_below(xn, xd, a_min, thr_n, thr_d, allow_equal=False,
     is never scanned.
 
     When the scan would pass max_iters iterations it aborts and reports
-    iterations = max_iters + 1 with found=False; the caller's budget
+    iterations = max_iters + 1 with found=False; a caller's budget
     accounting turns that into a resource error, never a wrong answer.
-    The scan always starts; ``egy.search`` raises before calling it when
-    the scan's certain length passes the budget (with a threshold under x
-    it cannot stop before the last a with 1/a + 1/(a+1) >= x).
+    The scan always starts: a caller raises before calling it when the
+    scan's certain length passes its budget (with a threshold under x it
+    cannot stop before the last a with 1/a + 1/(a+1) >= x), as
+    ``egy.search`` does before each ``two_term_top`` scan.
     """
     if xn <= 0:
         return (False, 0, 0, 0, 0, 0)

@@ -7,9 +7,9 @@ strictly increasing (after choosing m_k the gap drops below
 1/(m_k(m_k - 1))).
 
 ``greedy_completion`` is the one greedy loop, on integer (num, den) pairs:
-its inputs need not be reduced, and it returns the value as a reduced
-pair, which the public functions here and ``search.best_underapprox``
-turn into a ``Fraction`` once, without another gcd.
+its input need not be reduced, and it returns the value as a reduced
+pair, which the public functions here turn into a ``Fraction`` once,
+without another gcd.
 """
 
 from __future__ import annotations
@@ -40,34 +40,30 @@ def level_harmonic(n: int, least: int, caller: str, name: str = "n") -> Fraction
     return harmonic(n)
 
 
-def greedy_completion(
-    xn: int, xd: int, r: int, pn: int = 0, pd: int = 1, m_last: int = 0
-) -> tuple[list[int], int, int]:
-    """Greedy r-term extension of a partial sum p < x, denominators > m_last.
+def greedy_completion(xn: int, xd: int, r: int) -> tuple[list[int], int, int]:
+    """The first r greedy denominators of x = xn/xd > 0.
 
-    x = xn/xd and p = pn/pd are integer pairs with positive denominators;
-    neither needs to be reduced.  Returns the r new denominators and the
-    extended sum as a reduced pair (num, den) with den > 0, read off as x
-    minus the final gap, so no caller re-adds the unit fractions.
+    x is an integer pair with a positive denominator that need not be
+    reduced.  Returns the r denominators and their sum as a reduced pair
+    (num, den) with den > 0, read off as x minus the final gap, so no
+    caller re-adds the unit fractions.
     """
     g = gcd(xn, xd)
     xn, xd = xn // g, xd // g
-    gn, gd = xn * pd - pn * xd, xd * pd  # the gap x - p > 0
-    g = gcd(gn, gd)
-    gn, gd = gn // g, gd // g
+    gn, gd = xn, xd  # the gap > 0: x less the terms taken so far
     denoms = []
+    m = 0  # the last denominator taken
     for _ in range(r):
         # floor(1/gap) + 1; gap > 0 is invariant because 1/m < gap strictly.
         # While gap > 1 the natural choice repeats m = 1, so distinctness has
         # to be forced; once gap <= 1 the recursion is self-increasing.
-        m = max(gd // gn + 1, m_last + 1)
+        m = max(gd // gn + 1, m + 1)
         denoms.append(m)
         # gap - 1/m, reduced by one gcd: a cheap one, as the new numerator
         # gn m - gd is at most gn unless distinctness forced m up
         gn, gd = gn * m - gd, gd * m
         g = gcd(gn, gd)
         gn, gd = gn // g, gd // g
-        m_last = m
     vn, vd = _add_reduced(xn, xd, -gn, gd)
     return denoms, vn, vd
 

@@ -18,7 +18,7 @@ from .greedy import level_harmonic
 from .lemma1 import exact_measure
 from .partition import Cell
 from .rational import ZERO, ONE, EgyptianRep, _from_reduced, _Record, _shown, format_rational, harmonic
-from .search import ResourceLimitError, _best_pair, has_representation
+from .search import ResourceLimitError, _best_pair, _Budget, has_representation
 
 # 99% two-sided normal quantile, fixed rational constant
 WILSON_Z99 = Fraction(2575829303549, 10**12)
@@ -204,8 +204,9 @@ def sample_chain_density(
 
     Samples are c / 2^bits with c drawn uniformly from
     [1, floor(harmonic(s) * 2^bits)] by random.Random(seed).randrange, one
-    draw per sample in order.  Samples whose solver budget runs out are
-    counted as undecided and excluded from the fraction.
+    draw per sample in order; seed is an ``int`` that is not a ``bool``.
+    Samples whose solver budget runs out are counted as undecided and
+    excluded from the fraction.
     """
     hs = level_harmonic(s, 1, "sample_chain_density", "s")
     if type(t) is int and t <= s:  # level_harmonic refuses a t that is no int
@@ -215,6 +216,8 @@ def sample_chain_density(
     for name, value, least in (("count", count, 1), ("bits", bits, 16)):
         if type(value) is not int or value < least:  # a bool is no count
             raise ValueError(f"sample_chain_density() needs {name} >= {least}, got {_shown(value)}")
+    if type(seed) is not int:  # a bool, a float or a string would seed random.Random too
+        raise ValueError(f"seed must be an int, got {_shown(seed)}")
     scale = 1 << bits
     top = (hs.numerator * scale) // hs.denominator
     rng = random.Random(seed)
@@ -309,6 +312,7 @@ def cell_decay_bound(
         raise ValueError(f"slice_bound must be 'lemma' or 'exact', got {slice_bound!r}")
     if type(i_max) is not int or i_max < 1:  # a bool is no count
         raise ValueError(f"cell_decay_bound() needs i_max >= 1, got {_shown(i_max)}")
+    _Budget(node_budget)  # checked also where no pair is enumerated
     length = cell.upper - cell.lower
     # smallest i0 with 1/i0 < length
     i0 = length.denominator // length.numerator + 1

@@ -24,7 +24,7 @@ from math import gcd
 
 from .greedy import level_harmonic
 from .rational import ZERO, EgyptianRep, _from_reduced, _Record, _shown, format_rational
-from .search import _best_pair, _next_values, next_point_above
+from .search import _best_pair, _Budget, _next_values, next_point_above
 
 # The cells one window search lists at most.  A search holds O(SEARCH_CELLS)
 # values, and a longer walk runs one search per SEARCH_CELLS cells.  Level-4
@@ -99,6 +99,7 @@ def cell_of(x: Fraction, n: int, node_budget: int | None = None) -> Cell:
     if x.numerator <= 0:
         raise ValueError(f"cell_of() needs x > 0, got {format_rational(x)}")
     hn = level_harmonic(n, 1, "cell_of")
+    _Budget(node_budget)  # checked also where no search runs
     if not _at_most(x, hn):
         return Cell(level=n, lower=hn, upper=None, best_rep=None)
     vn, vd, denominators = _best_pair(x.numerator, x.denominator, n, node_budget)
@@ -144,6 +145,7 @@ def cells_in_window(
                          f"b={format_rational(b)}")
     if type(max_cells) is not int or max_cells < 0:  # a bool is no count
         raise ValueError(f"max_cells must be >= 0, got {_shown(max_cells)}")
+    _Budget(node_budget)  # checked also where no search runs
     cells: list[Cell] = []
     while len(cells) < max_cells and cn * ad > an * cd:
         # cursor is in the cell (best, upper]; the emitted cell ends at the

@@ -2,32 +2,26 @@
 
 Four engines:
 
-* ``best_underapprox`` -- branch-and-bound for the largest n-term sum of
-  distinct unit fractions strictly below x, on integer pairs.  It checks
-  its arguments and runs the integer core ``_best_pair``, which takes x
-  as a pair (num, den) and returns the value as a reduced pair; the
-  library's own callers (``partition.cell_of`` and
-  ``measure.chain_check``) call the core directly and build each
-  ``Fraction`` once, from that pair.  The incumbent starts at the greedy
-  value (always feasible, always strict) and is refreshed with a greedy
-  completion whenever a node's partial sum passes it, which keeps every
-  branching range finite; both come from the one greedy loop,
-  ``greedy.greedy_completion``, as reduced pairs, so the core builds no
-  ``Fraction`` at all.  The bottom two levels are closed form: for a fixed
-  next-to-last denominator the best last one is floor(1/gap) + 1, so the
-  two-term completion is a single linear scan
-  (``_kernels.two_term_max_below``).  Before a node with two or more
-  terms left runs its scan or visits its children, it bounds the units
-  that work is certain to spend (``_certain_work``) and raises at once
-  when the bound passes the budget left.
+* ``best_underapprox`` -- the largest n-term sum of distinct unit
+  fractions strictly below x.  It checks its arguments and runs the
+  integer core ``_best_pair``, which takes x as a pair (num, den) and
+  returns the value as a reduced pair; the library's own callers
+  (``partition.cell_of`` and ``measure.chain_check``) call the core
+  directly and build each ``Fraction`` once, from that pair.  The core is
+  the k = 1 case of ``_next_values``.
 
-* ``_next_values`` -- the window walk's k-best branch and bound: the
-  count largest distinct n-term sums below x, each with the witness
-  ``_best_pair`` gives it, from one search instead of one per value
-  (``partition.cells_in_window`` runs it).  It keeps those values and
-  prunes against the last; its two-term nodes run the top-k scan
-  (``_kernels.two_term_top``), of which the max-below scan is the k = 1
-  case, and its fail-fast is the same ``_certain_work``.
+* ``_next_values`` -- the one branch and bound on integer pairs: the
+  count largest distinct n-term sums below x, each with its
+  lexicographically smallest witness, from one search (the window walk,
+  ``partition.cells_in_window``, runs it with count up to 64, and
+  ``_best_pair`` with count 1).  It keeps those values and prunes against
+  the last.  The bottom two levels are closed form: for a fixed
+  next-to-last denominator the best last one is floor(1/gap) + 1, so a
+  two-term node is one linear scan, the top-k scan
+  (``_kernels.two_term_top``).  Before a node with two or more terms left
+  runs its scan or visits its children, it bounds the units that work is
+  certain to spend (``_certain_work``) and raises at once when the bound
+  passes the budget left.
 
 * ``has_representation`` -- exhaustive search on integer pairs for an
   exact j-term representation, pruned by the densest completion.
@@ -55,8 +49,8 @@ from fractions import Fraction
 from math import gcd
 
 from . import _kernels
-from .greedy import greedy_completion, level_harmonic
-from .rational import ZERO, EgyptianRep, _from_reduced, format_rational, harmonic
+from .greedy import level_harmonic
+from .rational import ZERO, EgyptianRep, _from_reduced, _shown, format_rational, harmonic
 
 DEFAULT_NODE_BUDGET = 10_000_000
 
@@ -133,13 +127,13 @@ def _certain_work(gap_n: int, gap_d: int, r: int, m: int, limit: int) -> int:
     """A lower bound on the units a search node must still spend.
 
     The node has r >= 2 terms left and x - p = g = gap_n/gap_d > 0; m > 1/g
-    is its first child, or with r = 2 its scan's first a before the clamp
-    to a >= 2.  The incumbent (in ``_next_values``, the threshold) stays
-    below x.
+    is its first child, or with r = 2 its scan's first a.  The threshold,
+    the last value ``_next_values`` keeps, stays below x.
 
-    With r = 2 this is the scan's length: its threshold lies below g, so it
-    cannot stop before a = _kernels._last_pair_above(g, True) + 1, and that
-    a counts as an iteration.
+    With r = 2 this is the scan's length counted from a = 2 (a scan from
+    a = 1 spends one unit more): its threshold lies below g, so it cannot
+    stop before a = _kernels._last_pair_above(g, True) + 1, and that a
+    counts as an iteration.
 
     With r >= 3 the node loop cannot break at a child m with
     p + 1/m + ... + 1/(m+r-1) >= x; these certain children are a prefix of
@@ -195,10 +189,10 @@ def best_underapprox(
     """Maximum n-term Egyptian sum strictly below x, with its witness.
 
     Among denominator tuples attaining the optimum, the lexicographically
-    smallest is returned (depth-first ascending exploration visits tuples in
-    lexicographic order, and tying subtrees are only pruned once they can no
-    longer improve the witness).  The search is ``_best_pair``; this checks
-    the arguments and builds the value's ``Fraction``.
+    smallest is returned: depth-first ascending exploration visits tuples
+    in lexicographic order, and a later tie is never kept.  The search is
+    ``_best_pair``; this checks the arguments and builds the value's
+    ``Fraction``.
     """
     x = Fraction(x)
     if x <= 0:
@@ -208,78 +202,22 @@ def best_underapprox(
     return _from_reduced(vn, vd), EgyptianRep(denominators)
 
 
-def _best_pair(xn: int, xd: int, n: int, node_budget: int | None) -> tuple[int, int, list[int]]:
+def _best_pair(xn: int, xd: int, n: int, node_budget: int | None) -> tuple[int, int, tuple[int, ...]]:
     """``best_underapprox`` on integer pairs: the best n-term value below
     x = xn/xd as a reduced pair (vn, vd) with vd > 0, and its denominators.
 
     The caller has checked x > 0 (xd > 0; the pair need not be reduced)
     and the level n, so callers that hold their values as pairs build
-    each ``Fraction`` once, from the result.  node_budget is checked
-    first, also where no search runs.
+    each ``Fraction`` once, from the result.  Past H_n the answer is H_n
+    at once; node_budget is checked there too.  Otherwise it is the first
+    step of the window walk, ``_next_values`` with count 1 and a cut point
+    a = 0/1 that no value reaches.
     """
-    budget = _Budget(node_budget)
     hn = harmonic(n)
-    if xn * hn.denominator > hn.numerator * xd:  # n = 0 always lands here: H_0 = 0 < x
-        return hn.numerator, hn.denominator, list(range(1, n + 1))
-    # The incumbent vn/vd (reduced), x = xn/xd and every partial sum are
-    # integer pairs compared by cross multiplication: this loop runs once
-    # per node, and Fraction arithmetic would cost more than the node.
-    inc_rep, vn, vd = greedy_completion(xn, xd, n)
-    if n == 1:  # the best one-term sum below x is the greedy one
-        return vn, vd, inc_rep
-
-    def visit(pn: int, pd: int, k: int, m_last: int, prefix: list[int]) -> None:
-        # the prefix sums to p = pn/pd, unreduced
-        nonlocal vn, vd, inc_rep
-        budget.spend()
-        r = n - k
-        if vn * pd <= pn * vd:
-            comp, vn, vd = greedy_completion(xn, xd, r, pn, pd, m_last)
-            inc_rep = prefix + comp
-        gap_n, gap_d = xn * pd - pn * xd, xd * pd  # x - p > 0, unreduced
-        m = gap_d // gap_n + 1  # the first child, or the scan's first a
-        if m <= m_last:
-            m = m_last + 1
-        # a scan's certain length ends by a = floor(2/g) + 1, since
-        # 1/a + 1/(a+1) < 2/a; unless m + left - 1 <= 2/g the budget
-        # reaches past that, and the isqrt is skipped
-        if r > 2 or (m + budget.left - 1) * gap_n <= 2 * gap_d:
-            budget.require(_certain_work(gap_n, gap_d, r, m, budget.left),
-                           "the %d-term subtree at depth %d", r, k)
-        if r == 2:
-            # x - p and inc - p go to the kernel unreduced: its result
-            # depends on their values alone, not on how they are written
-            allow_equal = prefix <= inc_rep[:k]
-            found, bn, bd, a, b, iters = _kernels.two_term_max_below(
-                gap_n, gap_d, m_last + 1, vn * pd - pn * vd, vd * pd, allow_equal,
-                budget.left,  # abort mid-scan once the budget is gone
-            )
-            budget.spend(iters)
-            if found:
-                # final: p + 1/a + 1/b beats inc, or ties it under allow_equal.
-                # A tie with prefix < inc_rep[:k] is a smaller witness; with
-                # equal prefixes the incumbent's own pair is a tie the scan
-                # reaches, and the kernel keeps the lowest-a tie.
-                cn, cd = pn * bd + bn * pd, pd * bd  # p + bn/bd
-                g = gcd(cn, cd)
-                vn, vd = cn // g, cd // g
-                inc_rep = prefix + [a, b]
-            return
-        # densest possible completion from m uses consecutive denominators
-        rn, rd = _consecutive_run(m, r)
-        while True:
-            reach = (pn * rd + rn * pd) * vd - vn * pd * rd  # sign of p + run - inc
-            if reach < 0:
-                break
-            if reach == 0 and prefix + [m] > inc_rep[: k + 1]:
-                break
-            visit(pn * m + pd, pd * m, k + 1, m, prefix + [m])
-            rn, rd = _next_run(rn, rd, m, r)
-            m += 1
-            budget.spend()
-
-    visit(0, 1, 0, 0, [])
-    return vn, vd, inc_rep
+    if xn * hn.denominator <= hn.numerator * xd:
+        return _next_values(xn, xd, n, 1, 0, 1, node_budget)[0]
+    _Budget(node_budget)  # n = 0 always lands here: H_0 = 0 < x
+    return hn.numerator, hn.denominator, tuple(range(1, n + 1))
 
 
 def _next_values(
@@ -289,8 +227,8 @@ def _next_values(
     count largest distinct n-term sums below x, in decreasing order, cut
     after the first at or below a = an/ad.  Each comes as
     (vn, vd, denominators), reduced with vd > 0, and its witness, a tuple,
-    is the lexicographically smallest, the one ``_best_pair`` returns; each
-    value is ``_best_pair`` at the one before it.
+    is the lexicographically smallest; each value is the best n-term value
+    below the one before it, and the first is ``_best_pair``'s.
 
     One k-best branch and bound on integer pairs: it keeps those values
     and prunes against the last one once it holds them all, ties
@@ -301,8 +239,8 @@ def _next_values(
     two-term nodes run ``_kernels.two_term_top`` with the last kept value
     as its running threshold, and the fail-fast ``_certain_work`` stays a
     lower bound, as every threshold lies below x.  The caller has checked
-    0 < a < x <= H_n and 1 <= n; the state is the count values besides
-    the path, so a long walk runs several searches.
+    0 <= a < x <= H_n and 1 <= n (a = 0/1 never cuts); the state is the
+    count values besides the path, so a long walk runs several searches.
     """
     budget = _Budget(node_budget)
     if n == 1:  # the one-term sums below x are 1/m from the greedy m on
@@ -353,7 +291,10 @@ def _next_values(
         m = gap_d // gap_n + 1  # the first child, or the scan's first a
         if m <= m_last:
             m = m_last + 1
-        if r > 2 or (m + budget.left - 1) * gap_n <= 2 * gap_d:  # as in _best_pair
+        # a scan's certain length ends by a = floor(2/g) + 1, since
+        # 1/a + 1/(a+1) < 2/a; unless m + left - 1 <= 2/g the budget
+        # reaches past that, and the isqrt is skipped
+        if r > 2 or (m + budget.left - 1) * gap_n <= 2 * gap_d:
             budget.require(_certain_work(gap_n, gap_d, r, m, budget.left),
                            "the %d-term subtree at depth %d", r, k)
         if r == 2:
@@ -377,11 +318,17 @@ def has_representation(
     q: Fraction, j: int, max_denom: int | None = None, node_budget: int | None = None
 ) -> EgyptianRep | None:
     """The lexicographically smallest j-term representation of q with
-    denominators <= max_denom, or None if there is none."""
+    denominators <= max_denom, or None if there is none.
+
+    max_denom is None, for no cap, or an ``int`` that is not a ``bool``;
+    anything else raises ``ValueError``.
+    """
     q = Fraction(q)
     if q <= 0:
         raise ValueError(f"has_representation() needs q > 0, got {format_rational(q)}")
     level_harmonic(j, 1, "has_representation", "j")
+    if max_denom is not None and type(max_denom) is not int:  # a bool is no bound
+        raise ValueError(f"max_denom must be None or an int, got {_shown(max_denom)}")
     found = _representation(q.numerator, q.denominator, j, 1, max_denom, _Budget(node_budget))
     return None if found is None else EgyptianRep(found)
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracle_best_pair
 import oracle_has_rep
 import oracle_min_above
 from conftest import random_rational
@@ -14,7 +15,7 @@ from egy.greedy import greedy_underapprox, greedy_value
 from egy.lemma1 import lemma1_certificate, nongreedy_two_term_measure, xk
 from egy.measure import cell_decay_bound, chain_check, sample_chain_density, wilson_interval
 from egy.partition import Cell, cell_of, cells_in_window, next_regular_above, refinement_check
-from egy.rational import harmonic
+from egy.rational import EgyptianRep, harmonic
 from egy.search import (
     NodeBudgetExceeded,
     ShorterRepresentationError,
@@ -272,6 +273,8 @@ def test_every_node_budget_is_none_or_an_int(bad):
     calls = [
         lambda: best_underapprox(x, 3, node_budget=bad),
         lambda: best_underapprox(x, 1, node_budget=bad),  # no search runs at n = 1
+        lambda: best_underapprox(2, 2, node_budget=bad),  # nor above H_n
+        lambda: best_underapprox(x, 0, node_budget=bad),
         lambda: has_representation(q, 2, node_budget=bad),
         lambda: next_point_above(q, 2, node_budget=bad),
         lambda: cell_of(x, 2, node_budget=bad),
@@ -285,11 +288,36 @@ def test_every_node_budget_is_none_or_an_int(bad):
         lambda: lemma1_certificate(20, "exact", node_budget=bad),
         lambda: nongreedy_two_term_measure(20, node_budget=bad),
         lambda: cell_decay_bound(Cell(2, Fraction(1, 3), Fraction(23, 60), None), 26, "exact", bad),
+        # calls that run no search
+        lambda: cell_of(2, 2, node_budget=bad),
+        lambda: refinement_check(2, 3, node_budget=bad),
+        lambda: cells_in_window(Fraction(1, 3), Fraction(1, 2), 2, 0, node_budget=bad),
+        lambda: cell_decay_bound(Cell(2, Fraction(1, 3), Fraction(23, 60), None), 26, "lemma", bad),
     ]
     for call in calls:
         with pytest.raises(ValueError) as info:
             call()
         assert str(info.value) == f"node_budget must be None or an int, got {bad!r}"
+
+
+@pytest.mark.parametrize("name, bad", [
+    ("max_denom", True), ("max_denom", False), ("max_denom", 2.5), ("max_denom", "x"),
+    ("max_denom", Fraction(5)), ("seed", True), ("seed", 1.5), ("seed", "abc"), ("seed", None),
+    ("seed", Fraction(3)),
+], ids=["max_denom-True", "max_denom-False", "max_denom-float", "max_denom-str",
+        "max_denom-Fraction", "seed-True", "seed-float", "seed-str", "seed-None", "seed-Fraction"])
+def test_max_denom_and_seed_are_ints(name, bad):
+    # max_denom=True ran as a cap of 1 and "x" raised TypeError; a seed of
+    # 1.5 printed as "seed": 1.5 in the report, and "abc" seeded the draws
+    if name == "max_denom":
+        call = lambda: has_representation(Fraction(1, 2), 1, max_denom=bad)
+        message = f"max_denom must be None or an int, got {bad!r}"
+    else:
+        call = lambda: sample_chain_density(2, 3, 3, bad, 16)
+        message = f"seed must be an int, got {bad!r}"
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_next_point_above_examples():
@@ -423,6 +451,69 @@ def test_witness_is_lexicographically_smallest():
             assert brute_best(x, n, max(2000, max(rep))) == (value, tuple(rep)), (x, n)
             ties += value == s
     assert ties > 100
+
+
+def test_best_pair_matches_the_greedy_incumbent_oracle(budgets, rng):
+    # the k = 1 window-walk search against the search it replaced, input
+    # by input and budget by budget: the same value, witness, budget left
+    # and raise text.  With n = 2 and 1 < x <= 3/2 its scan starts at
+    # a = 1, which the greedy incumbent 1 + 1/m covered, and that costs
+    # exactly one unit more
+    limits = (50, 300, 4_000, 30_000, 300_000, None)
+    cases = []
+    for i in range(160):
+        n = 2 + i % 4
+        hn = harmonic(n)
+        kind = i // 4 % 4
+        if kind == 0:  # a dyadic point, as the samples draw
+            scale = 1 << rng.choice((8, 16, 24, 32))
+            x = Fraction(rng.randrange(1, hn.numerator * scale // hn.denominator + 1), scale)
+        elif kind == 1:  # a small-denominator rational, maybe past H_n
+            x = random_rational(rng, max_den=300)
+        else:  # a best value, where ties sit, or just above one
+            x = random_rational(rng, max_den=200)
+            try:
+                x = best_underapprox(x, n, node_budget=30_000)[0]
+            except NodeBudgetExceeded:
+                pass
+            if kind == 3:
+                x += Fraction(1, 10 ** rng.randrange(3, 12))
+        cases.append((x, n))
+    cases += [(Fraction(7, 12) + Fraction(1, 10**6), 2), (Fraction(11, 12) + Fraction(1, 10**9), 3),
+              (Fraction(5, 4), 2), (Fraction(3, 2), 2)]
+    tally = {"same": 0, "raised": 0, "extra unit": 0}
+    for x, n in cases:
+        extra = n == 2 and 1 < x <= Fraction(3, 2)
+        for limit in limits:
+            oracle_budget = _Budget(limit)
+            try:
+                expected = oracle_best_pair.best_pair(x, n, oracle_budget)
+            except NodeBudgetExceeded as error:
+                expected = str(error)
+            budgets.clear()
+            try:
+                value, rep = best_underapprox(x, n, node_budget=limit)
+                found = value, tuple(rep)
+            except NodeBudgetExceeded as error:
+                found = str(error)
+            assert found == expected, (x, n, limit)
+            tally["raised"] += type(found) is str
+            if extra:
+                assert budgets[0].left == oracle_budget.left - 1, (x, n, limit)
+                tally["extra unit"] += 1
+            else:
+                assert budgets[0].left == oracle_budget.left, (x, n, limit)
+                tally["same"] += 1
+    assert tally["same"] > 800 and tally["raised"] > 150 and tally["extra unit"] > 60, tally
+
+
+def test_two_term_best_past_one_scans_a_equal_one(budgets):
+    # 5/4: the root's unit, then the scan's a = 1 (1 + 1/5) and its stop
+    # at a = 2, one unit more than tests/oracle_best_pair.py spends
+    assert best_underapprox(Fraction(5, 4), 2, node_budget=3) == (Fraction(6, 5), EgyptianRep((1, 5)))
+    assert budgets[0].left == 0
+    with pytest.raises(NodeBudgetExceeded, match="^search node budget exhausted$"):
+        best_underapprox(Fraction(5, 4), 2, node_budget=2)
 
 
 def test_budget_contract(budgets, rng):
